@@ -29,12 +29,16 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-short gives each decoder-facing fuzz target a brief budget: the
-# record decoders the resurrection scan aims at the dead kernel's bytes,
-# the flight-recorder parser that reads rings wild writes may have hit,
+# record decoders the resurrection scan aims at the dead kernel's bytes
+# (the framed-record reader, the saved-context decoder, the process-record
+# decoder and the typed record decoders), the flight-recorder parser that reads rings wild writes may have hit,
 # the block-layer crash model's torn-write/rollback/orphan machinery, and
 # the span builder that must stay total over corrupted/truncated rings.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
 fuzz-short:
+	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzDecodeContext -fuzztime 10s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzProcDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk

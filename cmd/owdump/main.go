@@ -35,7 +35,6 @@ func main() {
 	app := flag.String("app", "MySQL", "application to run before the crash")
 	seed := flag.Int64("seed", 2005, "seed (2005: the year of the KDump paper)")
 	out := flag.String("out", "", "also write the raw sparse dump to this host file (for owstat recover)")
-	flag.Int("campaign-workers", 0, "accepted for flag parity with owcampaign/owbench sweep scripts; a single dump run has no campaign pool")
 	indexSlots := flag.Int("index-slots", 0, "size the main kernel's candidate index and salvage it back out of the raw dump (0 = index off)")
 	flag.Parse()
 	if err := run(*app, *seed, *out, *indexSlots); err != nil {

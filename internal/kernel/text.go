@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 
 	"otherworld/internal/phys"
@@ -17,12 +18,18 @@ import (
 // The text bytes are a deterministic pattern derived from the kernel seed,
 // so corruption is detectable by comparison — the simulator's stand-in for
 // "the CPU decoded a clobbered instruction", not a kernel integrity check.
+// The pattern is kept host-side in pristine, so an execution of untouched
+// code costs one read and one slice comparison.
 type Text struct {
 	mem   *phys.Mem
 	base  uint64
 	size  int
 	seed  int64
 	funcs [funcCount]TextFunc
+	// pristine is the whole region's uncorrupted pattern, indexed by text
+	// offset; scratch is CheckExecute's reusable read buffer.
+	pristine []byte
+	scratch  []byte
 	// decided remembers the behaviour assigned to each corrupted byte the
 	// first time it executes: a real clobbered instruction misbehaves the
 	// same way every time it runs.
@@ -142,20 +149,23 @@ func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed
 		seed:    seed,
 		decided: make(map[uint64]Misbehavior),
 	}
-	off := 0
+	off, longest := 0, 0
 	for id := FuncID(0); id < funcCount; id++ {
 		t.funcs[id] = TextFunc{Name: funcNames[id], Start: off, Len: funcSizes[id]}
 		off += funcSizes[id]
+		longest = max(longest, funcSizes[id])
 	}
 	if off > t.size {
 		return nil, fmt.Errorf("kernel: text functions exceed region")
 	}
-	buf := make([]byte, phys.PageSize)
+	t.pristine = make([]byte, t.size)
+	t.scratch = make([]byte, longest)
 	for f := start; f < start+TextFrames; f++ {
 		if err := alloc.Claim(f, phys.FrameKernelText); err != nil {
 			return nil, err
 		}
 		base := phys.FrameAddr(f)
+		buf := t.pristine[base-t.base:][:phys.PageSize]
 		for i := range buf {
 			buf[i] = t.expected(base + uint64(i))
 		}
@@ -214,28 +224,61 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 // CheckExecute scans fn's text for corrupted bytes and returns the resulting
 // misbehaviour for this execution. rollFn supplies randomness so the caller
 // (the kernel) keeps everything on one seeded stream.
+//
+// Corrupted bytes are visited in address order. The first one whose decided
+// behaviour is not benign stops the scan; each undecided one met on the way
+// is rolled once. Clean bytes before the stop forget any earlier decision
+// (the byte was repaired or rolled back).
 func (t *Text) CheckExecute(fn FuncID, rollFn func() float64) Misbehavior {
 	f := t.funcs[fn]
-	buf := make([]byte, f.Len)
+	buf := t.scratch[:f.Len]
 	if err := t.mem.ReadAt(t.base+uint64(f.Start), buf); err != nil {
 		return BehaveFailStop
 	}
-	for i, b := range buf {
-		addr := t.base + uint64(f.Start) + uint64(i)
-		if b == t.expected(addr) {
-			delete(t.decided, addr) // repaired or rolled back
-			continue
-		}
-		behave, ok := t.decided[addr]
-		if !ok {
-			behave = t.decideBehavior(rollFn())
-			t.decided[addr] = behave
-		}
-		if behave != BehaveBenign {
-			return behave
+	want := t.pristine[f.Start : f.Start+f.Len]
+	stop, result := f.Len, BehaveBenign
+	if !bytes.Equal(buf, want) {
+		for i := nextDiff(buf, want, 0); i < f.Len; i = nextDiff(buf, want, i+1) {
+			addr := t.base + uint64(f.Start+i)
+			behave, ok := t.decided[addr]
+			if !ok {
+				behave = t.decideBehavior(rollFn())
+				t.decided[addr] = behave
+			}
+			if behave != BehaveBenign {
+				stop, result = i, behave
+				break
+			}
 		}
 	}
-	return BehaveBenign
+	t.forgetClean(t.base+uint64(f.Start), buf[:stop], want[:stop])
+	return result
+}
+
+// nextDiff returns the first index i >= from at which a and b differ, or
+// len(a) if none does. Equal 64-byte blocks are skipped with one
+// comparison each, so walking a function with a few corrupted bytes costs
+// about as much as comparing it whole.
+func nextDiff(a, b []byte, from int) int {
+	const block = 64
+	i := from
+	for i+block <= len(a) && bytes.Equal(a[i:i+block], b[i:i+block]) {
+		i += block
+	}
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// forgetClean drops the decision of every byte in cur, the current text
+// starting at address lo, that matches its pristine value in want again.
+func (t *Text) forgetClean(lo uint64, cur, want []byte) {
+	for addr := range t.decided {
+		if i := addr - lo; addr >= lo && i < uint64(len(cur)) && cur[i] == want[i] {
+			delete(t.decided, addr)
+		}
+	}
 }
 
 // Settle downgrades every corrupted byte in fn currently decided as the

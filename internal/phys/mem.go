@@ -1,6 +1,6 @@
-// Package phys models the machine's physical memory: a flat byte array
-// divided into fixed-size frames with per-frame write protection and
-// ownership tags.
+// Package phys models the machine's physical memory: fixed-size frames with
+// per-frame write protection and ownership tags, each frame backed by host
+// memory only once something nonzero is written to it.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -99,11 +99,18 @@ type Stats struct {
 	ProtFaults int64
 }
 
-// Mem is the machine's physical memory.
+// Mem is the machine's physical memory. It is frame-sparse: a frame that
+// has never held a nonzero byte has no backing page and reads as zeros, so
+// a machine costs host memory in proportion to what it has written rather
+// than to its installed size. Backing is invisible to callers — every
+// address reads and writes exactly as in a flat array, and the access
+// counters see the same traffic.
 type Mem struct {
-	data []byte
-	prot []bool
-	kind []FrameKind
+	// pages[f] backs frame f; nil means the frame is all zeros. A frame is
+	// backed by its first nonzero write or by Frame(), and stays backed.
+	pages []*[PageSize]byte
+	prot  []bool
+	kind  []FrameKind
 
 	// Access counters are atomics so the resurrection scan pool's
 	// concurrent readers can count without a lock. Frame() aliasing
@@ -124,14 +131,14 @@ func NewMem(size int) *Mem {
 		frames = 1
 	}
 	return &Mem{
-		data: make([]byte, frames*PageSize),
-		prot: make([]bool, frames),
-		kind: make([]FrameKind, frames),
+		pages: make([]*[PageSize]byte, frames),
+		prot:  make([]bool, frames),
+		kind:  make([]FrameKind, frames),
 	}
 }
 
 // Size returns the installed physical memory in bytes.
-func (m *Mem) Size() int { return len(m.data) }
+func (m *Mem) Size() int { return len(m.pages) * PageSize }
 
 // NumFrames returns the number of installed frames.
 func (m *Mem) NumFrames() int { return len(m.prot) }
@@ -149,7 +156,17 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	}
 	m.readOps.Add(1)
 	m.readBytes.Add(int64(len(buf)))
-	copy(buf, m.data[addr:])
+	for len(buf) > 0 {
+		f, off := FrameOf(addr), int(addr%PageSize)
+		n := min(len(buf), PageSize-off)
+		if p := m.pages[f]; p != nil {
+			copy(buf[:n], p[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		addr += uint64(n)
+	}
 	return nil
 }
 
@@ -172,7 +189,18 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	}
 	m.writeOps.Add(1)
 	m.writeBytes.Add(int64(len(buf)))
-	copy(m.data[addr:], buf)
+	for len(buf) > 0 {
+		f, off := FrameOf(addr), int(addr%PageSize)
+		n := min(len(buf), PageSize-off)
+		if m.pages[f] == nil && !PageIsZero(buf[:n]) {
+			m.pages[f] = new([PageSize]byte)
+		}
+		if p := m.pages[f]; p != nil { // zeros onto an unbacked frame change nothing
+			copy(p[off:], buf[:n])
+		}
+		buf = buf[n:]
+		addr += uint64(n)
+	}
 	return nil
 }
 
@@ -193,14 +221,18 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 }
 
 // Frame returns the memory of frame f as a slice aliasing the underlying
-// storage. Mutating the slice bypasses protection; it is intended for
-// kernel-internal fast paths that have already checked ownership.
+// storage, backing the frame first if it has none, so writes through the
+// slice are seen by later reads. Mutating the slice bypasses protection; it
+// is intended for kernel-internal fast paths that have already checked
+// ownership.
 func (m *Mem) Frame(f int) ([]byte, error) {
 	if f < 0 || f >= m.NumFrames() {
 		return nil, ErrOutOfRange
 	}
-	base := FrameAddr(f)
-	return m.data[base : base+PageSize : base+PageSize], nil
+	if m.pages[f] == nil {
+		m.pages[f] = new([PageSize]byte)
+	}
+	return m.pages[f][:], nil
 }
 
 // Protect sets or clears write protection on frame f.
@@ -248,7 +280,9 @@ func (m *Mem) CountKind(k FrameKind) int {
 	return n
 }
 
-// Zero clears frame f, honoring protection.
+// Zero clears frame f, honoring protection. It counts as a full-frame
+// write whether or not the frame was backed; an unbacked frame is already
+// zero and stays unbacked.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -259,9 +293,8 @@ func (m *Mem) Zero(f int) error {
 	}
 	m.writeOps.Add(1)
 	m.writeBytes.Add(int64(PageSize))
-	base := FrameAddr(f)
-	for i := base; i < base+PageSize; i++ {
-		m.data[i] = 0
+	if p := m.pages[f]; p != nil {
+		clear(p[:])
 	}
 	return nil
 }
@@ -299,7 +332,8 @@ func (m *Mem) Stats() Stats {
 }
 
 func (m *Mem) check(addr uint64, n int) error {
-	if n < 0 || addr > uint64(len(m.data)) || addr+uint64(n) > uint64(len(m.data)) {
+	size := uint64(m.Size())
+	if n < 0 || addr > size || addr+uint64(n) > size {
 		return ErrOutOfRange
 	}
 	return nil
