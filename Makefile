@@ -31,15 +31,22 @@ race:
 # fuzz-short gives each decoder-facing fuzz target a brief budget: the
 # record decoders the resurrection scan aims at the dead kernel's bytes
 # (the framed-record reader, the saved-context decoder, the process-record
-# decoder and the typed record decoders), the flight-recorder parser that reads rings wild writes may have hit,
-# the block-layer crash model's torn-write/rollback/orphan machinery, and
-# the span builder that must stay total over corrupted/truncated rings.
-# Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
+# decoder and the typed record decoders), the candidate-index salvage and
+# the metrics-segment recovery that re-parse the dead kernel's crash
+# reservation, the flight-recorder parser that reads rings wild writes may
+# have hit, the block-layer crash model's torn-write/rollback/orphan
+# machinery, and the span builder that must stay total over
+# corrupted/truncated rings. The two reservation parsers take page-sized
+# images, whose minimization would otherwise eat the whole 10 s budget, so
+# they cap it at 1 s. Long exploratory runs stay manual
+# (go test -fuzz=<target> <pkg>).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzDecodeContext -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzProcDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzParseIndex -fuzztime 10s -fuzzminimizetime 1s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzParseSegment -fuzztime 10s -fuzzminimizetime 1s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk
 	$(GO) test -run '^$$' -fuzz FuzzSpanBuild -fuzztime 10s ./internal/spans

@@ -8,11 +8,14 @@ package hw
 // page-table-set switch (kernel entry and exit), which is exactly the cost
 // the paper measures in Table 3: "overhead mainly due to TLB flush
 // operations that occur on every page table switch".
+//
+// The entries are a flat slice of at most Size() virtual page numbers, with
+// no side index: a lookup is a linear scan, which at TLB sizes beats a hash
+// map on every access and allocates nothing after NewTLB.
 type TLB struct {
-	size    int
-	slots   []uint64
-	present map[uint64]bool
-	rng     uint64
+	size  int
+	slots []uint64 // resident VPNs, each at most once; len ≤ size
+	rng   uint64
 
 	// Counters are cumulative since power-on or the last ResetStats.
 	Hits    uint64
@@ -26,10 +29,9 @@ func NewTLB(entries int) *TLB {
 		entries = 1
 	}
 	return &TLB{
-		size:    entries,
-		slots:   make([]uint64, 0, entries),
-		present: make(map[uint64]bool, entries),
-		rng:     0x9E3779B97F4A7C15,
+		size:  entries,
+		slots: make([]uint64, 0, entries),
+		rng:   0x9E3779B97F4A7C15,
 	}
 }
 
@@ -48,19 +50,18 @@ func (t *TLB) Size() int { return t.size }
 // on a hit. Misses install the translation, evicting a random victim when
 // full.
 func (t *TLB) Access(vpn uint64) bool {
-	if t.present[vpn] {
-		t.Hits++
-		return true
+	for _, v := range t.slots {
+		if v == vpn {
+			t.Hits++
+			return true
+		}
 	}
 	t.Misses++
 	if len(t.slots) < t.size {
 		t.slots = append(t.slots, vpn)
 	} else {
-		victim := int(t.rand() % uint64(t.size))
-		delete(t.present, t.slots[victim])
-		t.slots[victim] = vpn
+		t.slots[t.rand()%uint64(t.size)] = vpn
 	}
-	t.present[vpn] = true
 	return false
 }
 
@@ -68,9 +69,6 @@ func (t *TLB) Access(vpn uint64) bool {
 func (t *TLB) Flush() {
 	t.Flushes++
 	t.slots = t.slots[:0]
-	for k := range t.present {
-		delete(t.present, k)
-	}
 }
 
 // ResetStats clears the counters without touching the entries, so a

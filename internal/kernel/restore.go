@@ -323,7 +323,7 @@ func (k *Kernel) InstallContext(p *Process, ctx layout.Context) error {
 // afterwards.
 func (k *Kernel) AdoptAllMemory() error {
 	total := k.M.Mem.NumFrames()
-	adopted := k.Alloc.AdoptUnmanaged(k.M.Mem, phys.Region{Start: 0, Frames: total})
+	adopted := k.Alloc.AdoptUnmanaged(phys.Region{Start: 0, Frames: total})
 	// Take the anchor frames.
 	if err := k.Alloc.Claim(0, phys.FrameKernelText); err != nil {
 		return err

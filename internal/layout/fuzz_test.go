@@ -122,3 +122,43 @@ func FuzzProcDecode(f *testing.F) {
 		_ = q.decode(0, payload)
 	})
 }
+
+// FuzzParseIndex aims the candidate-index salvage at arbitrary memory
+// images — the dead kernel's reservation after wild writes. The region may
+// run past the image (unreadable slots). It must never panic, and whatever
+// parses stays within the slot count the region can hold. Corpus: a
+// well-formed sealed index with live entries and a tombstone.
+func FuzzParseIndex(f *testing.F) {
+	const slots = 6
+	m := newMemBuf(slots * IndexSlotSize)
+	w, err := NewIndexWriter(m, 0, slots, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for pid := uint32(1); pid <= 4; pid++ {
+		if err := w.Put(pid, uint64(pid)*0x1000, "mysqld", "mysqld", "mysql-crash"); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Delete(2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(m.data, uint16(len(m.data)), true)
+	f.Add(m.data, uint16(len(m.data)), false)
+	f.Add(m.data[:3*IndexSlotSize], uint16(len(m.data)), true)
+	f.Add([]byte{}, uint16(2*IndexSlotSize), true)
+	f.Fuzz(func(t *testing.T, data []byte, size uint16, crc bool) {
+		sal, err := ParseIndex(&memBuf{data: data}, 0, int(size), crc)
+		if err != nil {
+			return
+		}
+		fit := int(size) / IndexSlotSize
+		if n := int(sal.Header.Slots); n < 2 || n > fit {
+			t.Fatalf("parsed %d slots from a %d-byte region", n, size)
+		}
+		if sal.Skipped < 0 || sal.Skipped+len(sal.Entries) > int(sal.Header.Slots)-1 {
+			t.Fatalf("skipped %d + %d entries exceed %d entry slots",
+				sal.Skipped, len(sal.Entries), sal.Header.Slots-1)
+		}
+	})
+}

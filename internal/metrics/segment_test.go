@@ -253,3 +253,43 @@ func TestSegmentOversizeRecordDropped(t *testing.T) {
 	}
 	_ = pages
 }
+
+// FuzzParseSegment aims the metrics-segment recovery at arbitrary memory
+// images: the image fills a small memory from frame 0, and the region may
+// start before it or run past its end (unreadable frames). It must never
+// panic, and its page counts must partition the region. Corpus: a
+// well-formed sealed single- and multi-page segment.
+func FuzzParseSegment(f *testing.F) {
+	const frames = 4
+	for _, s := range []*Snapshot{sampleRegistry().Snapshot(), bigRegistry().Snapshot()} {
+		m := phys.NewMem(frames * phys.PageSize)
+		pages, _, err := WriteSegment(m, phys.Region{Start: 0, Frames: frames}, s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		img := make([]byte, pages*phys.PageSize)
+		if err := m.ReadAt(0, img); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img, uint8(1), uint8(pages))
+	}
+	f.Add([]byte{}, uint8(0), uint8(frames+3))
+	f.Fuzz(func(t *testing.T, data []byte, start, n uint8) {
+		m := phys.NewMem(frames * phys.PageSize)
+		if len(data) > m.Size() {
+			data = data[:m.Size()]
+		}
+		if err := m.WriteAt(0, data); err != nil {
+			t.Fatal(err)
+		}
+		reg := phys.Region{Start: int(start%(frames+2)) - 1, Frames: int(n % (frames + 3))}
+		ps := ParseSegment(m, reg)
+		if ps.Snapshot == nil {
+			t.Fatal("nil snapshot")
+		}
+		if ps.Valid+ps.Corrupted != ps.Pages || ps.Pages+ps.Empty != reg.Frames || min(ps.Valid, ps.Corrupted, ps.Empty) < 0 {
+			t.Fatalf("region of %d frames: pages=%d valid=%d corrupted=%d empty=%d",
+				reg.Frames, ps.Pages, ps.Valid, ps.Corrupted, ps.Empty)
+		}
+	})
+}

@@ -39,33 +39,67 @@ func (r Region) String() string {
 // over everything (Section 3.6). AddRegion implements that late widening,
 // mirroring the paper's startup-code change that pre-allocates extra page
 // descriptors for memory the crash kernel will only own later.
+//
+// Its state is dense per frame, like the page descriptor array it models:
+// two flags per installed frame (managed, claimed) plus running counts, so
+// creating an allocator costs a constant number of host allocations and
+// FreeFrames/ClaimedFrames are O(1). Frames are handed out from a LIFO
+// stack that may hold stale entries — a Claim leaves the frame on it, and
+// Alloc skips claimed frames as it pops — so allocation order depends only
+// on the sequence of calls. A frame outside installed memory is never
+// managed and never claimed.
 type FrameAllocator struct {
 	mem     *Mem
-	free    []int // stack of free frame numbers
-	inSet   map[int]bool
-	claimed map[int]bool
+	free    []int  // stack of free frame numbers; may hold claimed or duplicate entries
+	inSet   []bool // inSet[f]: frame f is managed
+	claimed []bool // claimed[f]: frame f is allocated (implies inSet[f])
+	managed int    // number of true entries in inSet
+	nClaim  int    // number of true entries in claimed
 }
 
 // NewFrameAllocator creates an allocator over mem managing the given region.
 func NewFrameAllocator(mem *Mem, r Region) *FrameAllocator {
+	n := mem.NumFrames()
 	a := &FrameAllocator{
 		mem:     mem,
-		inSet:   make(map[int]bool),
-		claimed: make(map[int]bool),
+		inSet:   make([]bool, n),
+		claimed: make([]bool, n),
 	}
 	a.AddRegion(r)
 	return a
 }
 
+// span clamps r to installed memory, returning the frame range [lo, hi).
+func (a *FrameAllocator) span(r Region) (lo, hi int) {
+	lo, hi = max(r.Start, 0), min(r.End(), len(a.inSet))
+	return lo, max(hi, lo)
+}
+
+// reserve makes room on the free stack for n more frames, capped at the
+// unmanaged ones, so widening the set reallocates the stack at most once.
+func (a *FrameAllocator) reserve(n int) {
+	n = min(n, len(a.inSet)-a.managed)
+	if cap(a.free)-len(a.free) < n {
+		a.free = append(make([]int, 0, len(a.free)+n), a.free...)
+	}
+}
+
+// manage adds unmanaged frame f to the set and pushes it on the free stack.
+func (a *FrameAllocator) manage(f int) {
+	a.inSet[f] = true
+	a.managed++
+	a.free = append(a.free, f)
+}
+
 // AddRegion makes the frames of r available for allocation. Frames already
 // managed are ignored.
 func (a *FrameAllocator) AddRegion(r Region) {
-	for f := r.End() - 1; f >= r.Start; f-- {
-		if f < 0 || f >= a.mem.NumFrames() || a.inSet[f] {
-			continue
+	lo, hi := a.span(r)
+	a.reserve(hi - lo)
+	for f := hi - 1; f >= lo; f-- {
+		if !a.inSet[f] {
+			a.manage(f)
 		}
-		a.inSet[f] = true
-		a.free = append(a.free, f)
 	}
 }
 
@@ -77,7 +111,7 @@ func (a *FrameAllocator) Alloc(k FrameKind) (int, error) {
 		if a.claimed[f] {
 			continue
 		}
-		a.claimed[f] = true
+		a.claim(f)
 		if err := a.mem.Zero(f); err != nil {
 			return 0, err
 		}
@@ -87,6 +121,11 @@ func (a *FrameAllocator) Alloc(k FrameKind) (int, error) {
 		return f, nil
 	}
 	return 0, ErrNoFrames
+}
+
+func (a *FrameAllocator) claim(f int) {
+	a.claimed[f] = true
+	a.nClaim++
 }
 
 // AllocN allocates n frames, returning them in order. On failure any frames
@@ -109,10 +148,11 @@ func (a *FrameAllocator) AllocN(n int, k FrameKind) ([]int, error) {
 // Free returns frame f to the allocator. Freeing an unclaimed or unmanaged
 // frame is a no-op, which keeps teardown code simple.
 func (a *FrameAllocator) Free(f int) {
-	if !a.claimed[f] {
+	if !a.Manages(f) || !a.claimed[f] {
 		return
 	}
-	delete(a.claimed, f)
+	a.claimed[f] = false
+	a.nClaim--
 	//owvet:allow errdrop: f was in claimed, so it is inside the managed frame set
 	_ = a.mem.SetKind(f, FrameFree)
 	a.free = append(a.free, f)
@@ -123,13 +163,13 @@ func (a *FrameAllocator) Free(f int) {
 // kernel text). It fails if the frame is outside the managed set or already
 // claimed.
 func (a *FrameAllocator) Claim(f int, k FrameKind) error {
-	if !a.inSet[f] {
+	if !a.Manages(f) {
 		return fmt.Errorf("phys: frame %d not managed by allocator", f)
 	}
 	if a.claimed[f] {
 		return fmt.Errorf("phys: frame %d already claimed", f)
 	}
-	a.claimed[f] = true
+	a.claim(f)
 	return a.mem.SetKind(f, k)
 }
 
@@ -138,18 +178,14 @@ func (a *FrameAllocator) Claim(f int, k FrameKind) error {
 // it to obtain working memory for resurrection copies without clobbering
 // the dead kernel's state (the paper's pre-allocated "extra page
 // descriptors", Section 3.2).
-func (a *FrameAllocator) AddFreeFrames(mem *Mem, r Region) int {
+func (a *FrameAllocator) AddFreeFrames(r Region) int {
+	lo, hi := a.span(r)
 	added := 0
-	for f := r.End() - 1; f >= r.Start; f-- {
-		if f < 0 || f >= mem.NumFrames() || a.inSet[f] {
-			continue
+	for f := hi - 1; f >= lo; f-- {
+		if !a.inSet[f] && a.mem.Kind(f) == FrameFree {
+			a.manage(f)
+			added++
 		}
-		if mem.Kind(f) != FrameFree {
-			continue
-		}
-		a.inSet[f] = true
-		a.free = append(a.free, f)
-		added++
 	}
 	return added
 }
@@ -158,16 +194,17 @@ func (a *FrameAllocator) AddFreeFrames(mem *Mem, r Region) int {
 // already manage, resetting its tag and write protection — the morph step
 // where the crash kernel reclaims the dead main kernel's memory
 // (Section 3.6). It returns the number of frames adopted.
-func (a *FrameAllocator) AdoptUnmanaged(mem *Mem, r Region) int {
+func (a *FrameAllocator) AdoptUnmanaged(r Region) int {
+	lo, hi := a.span(r)
+	a.reserve(hi - lo)
 	adopted := 0
-	for f := r.End() - 1; f >= r.Start; f-- {
-		if f < 0 || f >= mem.NumFrames() || a.inSet[f] {
+	for f := hi - 1; f >= lo; f-- {
+		if a.inSet[f] {
 			continue
 		}
-		_ = mem.Protect(f, false)     //owvet:allow errdrop: f is bounds-checked against mem.NumFrames above
-		_ = mem.SetKind(f, FrameFree) //owvet:allow errdrop: same bounds-checked frame as the line above
-		a.inSet[f] = true
-		a.free = append(a.free, f)
+		_ = a.mem.Protect(f, false)     //owvet:allow errdrop: span clamps f to installed memory
+		_ = a.mem.SetKind(f, FrameFree) //owvet:allow errdrop: same clamped frame as the line above
+		a.manage(f)
 		adopted++
 	}
 	return adopted
@@ -185,7 +222,8 @@ func (a *FrameAllocator) AdoptFrame(f int, k FrameKind) error {
 		return fmt.Errorf("phys: frame %d already managed", f)
 	}
 	a.inSet[f] = true
-	a.claimed[f] = true
+	a.managed++
+	a.claim(f)
 	return a.mem.SetKind(f, k)
 }
 
@@ -198,18 +236,14 @@ func (a *FrameAllocator) CanAdopt(f int) bool {
 }
 
 // Manages reports whether frame f is part of the allocator's frame set.
-func (a *FrameAllocator) Manages(f int) bool { return a.inSet[f] }
-
-// FreeFrames returns how many frames are currently allocatable.
-func (a *FrameAllocator) FreeFrames() int {
-	n := 0
-	for _, f := range a.free {
-		if !a.claimed[f] {
-			n++
-		}
-	}
-	return n
+func (a *FrameAllocator) Manages(f int) bool {
+	return f >= 0 && f < len(a.inSet) && a.inSet[f]
 }
 
+// FreeFrames returns how many frames are currently allocatable: every
+// managed frame that is not claimed sits at least once on the free stack,
+// so this is exactly the number of Alloc calls that can succeed.
+func (a *FrameAllocator) FreeFrames() int { return a.managed - a.nClaim }
+
 // ClaimedFrames returns how many frames are currently allocated.
-func (a *FrameAllocator) ClaimedFrames() int { return len(a.claimed) }
+func (a *FrameAllocator) ClaimedFrames() int { return a.nClaim }

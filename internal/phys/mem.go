@@ -204,8 +204,21 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// ReadU64 reads a little-endian 64-bit word.
+// ReadU64 reads a little-endian 64-bit word. It is counted exactly as an
+// 8-byte ReadAt; a word inside one frame (the page-table walk's case) is
+// decoded straight from the backing page.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
+	if off := addr % PageSize; off <= PageSize-8 {
+		if err := m.check(addr, 8); err != nil {
+			return 0, err
+		}
+		m.readOps.Add(1)
+		m.readBytes.Add(8)
+		if p := m.pages[FrameOf(addr)]; p != nil {
+			return leU64(p[off : off+8]), nil
+		}
+		return 0, nil
+	}
 	var b [8]byte
 	if err := m.ReadAt(addr, b[:]); err != nil {
 		return 0, err

@@ -204,7 +204,7 @@ func TestAllocatorAddFreeFrames(t *testing.T) {
 	// Mark frames 4,5 as used by "another kernel".
 	_ = m.SetKind(4, FrameKernelHeap)
 	_ = m.SetKind(5, FrameUser)
-	added := a.AddFreeFrames(m, Region{Start: 2, Frames: 6})
+	added := a.AddFreeFrames(Region{Start: 2, Frames: 6})
 	if added != 4 { // frames 2,3,6,7 are free-tagged
 		t.Fatalf("added = %d, want 4", added)
 	}
@@ -224,7 +224,7 @@ func TestAllocatorAdoptUnmanaged(t *testing.T) {
 	a := NewFrameAllocator(m, Region{Start: 0, Frames: 2})
 	_ = m.SetKind(4, FrameKernelHeap)
 	_ = m.Protect(4, true)
-	adopted := a.AdoptUnmanaged(m, Region{Start: 0, Frames: 8})
+	adopted := a.AdoptUnmanaged(Region{Start: 0, Frames: 8})
 	if adopted != 6 {
 		t.Fatalf("adopted = %d, want 6", adopted)
 	}

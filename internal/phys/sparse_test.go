@@ -3,6 +3,7 @@ package phys
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -198,5 +199,51 @@ func TestSparseProtectionFault(t *testing.T) {
 	}
 	if s := m.Stats(); s.ProtFaults != 2 || s.WriteOps != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestReadU64MatchesReadAt: the one-frame word fast path must agree with an
+// 8-byte ReadAt on value, error and counter deltas everywhere — inside
+// backed and unbacked frames, straddling a frame boundary (backed/unbacked
+// on either side), the last word of memory, at and past the end, and at
+// addresses whose addr+8 wraps around.
+func TestReadU64MatchesReadAt(t *testing.T) {
+	m := NewMem(4 * PageSize)
+	for i := 0; i < PageSize; i += 8 {
+		if err := m.WriteU64(FrameAddr(1)+uint64(i), uint64(i)*0x0101010101010101+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WriteU64(uint64(m.Size())-8, 0xDEADBEEFCAFEF00D); err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(m.Size())
+	addrs := []uint64{
+		0, 8, PageSize - 8, // unbacked frame 0
+		FrameAddr(1), FrameAddr(1) + 13, FrameAddr(1) + PageSize - 8, // backed frame 1
+		FrameAddr(1) - 3, FrameAddr(2) - 5, FrameAddr(2) - 1, // straddles: unbacked→backed, backed→unbacked
+		FrameAddr(3) - 4, // unbacked→backed (the last frame)
+		size - 8, size - 7, size - 1, size, size + 1,
+		math.MaxUint64, math.MaxUint64 - 7, math.MaxUint64 - 8, math.MaxUint64 - PageSize + 1,
+	}
+	for _, a := range addrs {
+		before := m.Stats()
+		got, gerr := m.ReadU64(a)
+		mid := m.Stats()
+		var b [8]byte
+		werr := m.ReadAt(a, b[:])
+		after := m.Stats()
+		want := uint64(0)
+		if werr == nil {
+			want = leU64(b[:])
+		}
+		if got != want || !errors.Is(gerr, werr) || (gerr == nil) != (werr == nil) {
+			t.Fatalf("addr %#x: ReadU64 = %#x, %v; ReadAt = %#x, %v", a, got, gerr, want, werr)
+		}
+		dGot := Stats{ReadOps: mid.ReadOps - before.ReadOps, ReadBytes: mid.ReadBytes - before.ReadBytes}
+		dWant := Stats{ReadOps: after.ReadOps - mid.ReadOps, ReadBytes: after.ReadBytes - mid.ReadBytes}
+		if dGot != dWant || mid.WriteOps != before.WriteOps {
+			t.Fatalf("addr %#x: ReadU64 counted %+v, ReadAt %+v", a, dGot, dWant)
+		}
 	}
 }
