@@ -35,10 +35,11 @@ race:
 # the metrics-segment recovery that re-parse the dead kernel's crash
 # reservation, the flight-recorder parser that reads rings wild writes may
 # have hit, the block-layer crash model's torn-write/rollback/orphan
-# machinery, and the span builder that must stay total over
-# corrupted/truncated rings. The two reservation parsers take page-sized
-# images, whose minimization would otherwise eat the whole 10 s budget, so
-# they cap it at 1 s. Long exploratory runs stay manual
+# machinery, the span builder that must stay total over corrupted/truncated
+# rings and skewed batch or streamed reports, and the schedule model
+# (sched.Plan) every modeled parallel time is read off. The two reservation
+# parsers take page-sized images, whose minimization would otherwise eat the
+# whole 10 s budget, so they cap it at 1 s. Long exploratory runs stay manual
 # (go test -fuzz=<target> <pkg>).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s ./internal/layout
@@ -50,6 +51,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk
 	$(GO) test -run '^$$' -fuzz FuzzSpanBuild -fuzztime 10s ./internal/spans
+	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 10s ./internal/sched
 
 # owstat-smoke drives the metrics plane end to end at the CLI surface:
 # owsim emits a snapshot, owstat renders it, and a self-diff must report

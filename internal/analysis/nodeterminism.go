@@ -10,7 +10,7 @@ import (
 // that feed campaign results (experiment, sim, faultinject, trace, core
 // with its campaign pool schedule model, spans with the width-pinned
 // span-tree fingerprints and Perfetto exporter, sched with the admission
-// queue and pipelined-commit schedule model, and layout with the candidate
+// queue and the schedule model, and layout with the candidate
 // index the discovery prologue salvages) and the command-line front-ends,
 // it bans:
 //

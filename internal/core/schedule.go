@@ -1,44 +1,26 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"otherworld/internal/sched"
+)
 
 // PoolSchedule models the campaign worker pool's wall clock: experiment
-// spans arrive in commit order and each is assigned to the least-loaded of
-// `workers` workers (ties broken by lowest worker index), the classic
-// deterministic list schedule. The result is the makespan — when the last
-// worker drains. It is a pure function of (spans, workers), so campaign
-// timing quotes replay from the seed regardless of the host's real
-// parallelism, mirroring how resurrect.ScheduleAt models the resurrection
-// pipeline.
+// spans arrive in commit order and each runs on the earliest-free of
+// `workers` workers (ties to the lowest index) — sched.Plan's List policy.
+// The result is the makespan, when the last worker drains. It is a pure
+// function of (spans, workers), so campaign timing quotes replay from the
+// seed regardless of the host's real parallelism, through the same model
+// as resurrect's Report.ScheduleAt.
 func PoolSchedule(spans []time.Duration, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(spans) && len(spans) > 0 {
-		workers = len(spans)
-	}
-	load := make([]time.Duration, workers)
-	for _, s := range spans {
-		min := 0
-		for w := 1; w < workers; w++ {
-			if load[w] < load[min] {
-				min = w
-			}
-		}
-		load[min] += s
-	}
-	var makespan time.Duration
-	for _, l := range load {
-		if l > makespan {
-			makespan = l
-		}
-	}
-	return makespan
+	return sched.Makespan(sched.Plan(sched.List, spans, nil, workers))
 }
 
 // PoolOccupancy is the fraction of the pool's worker-time the schedule
-// keeps busy: sum(spans) / (workers * makespan). 1.0 means perfectly
-// packed; the campaign metrics plane publishes this as a gauge.
+// keeps busy: sum(spans) / (workers * makespan), with the pool clamped to
+// the span count. 1.0 means perfectly packed; the campaign metrics plane
+// publishes this as a gauge.
 func PoolOccupancy(spans []time.Duration, workers int) float64 {
 	if workers < 1 {
 		workers = 1

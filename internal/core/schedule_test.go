@@ -5,42 +5,6 @@ import (
 	"time"
 )
 
-func TestPoolScheduleListOrder(t *testing.T) {
-	s := func(secs ...int) []time.Duration {
-		out := make([]time.Duration, len(secs))
-		for i, v := range secs {
-			out[i] = time.Duration(v) * time.Second
-		}
-		return out
-	}
-	cases := []struct {
-		name    string
-		spans   []time.Duration
-		workers int
-		want    time.Duration
-	}{
-		{"empty", nil, 4, 0},
-		{"serial-sums", s(3, 2, 2, 1), 1, 8 * time.Second},
-		// Greedy least-loaded: w0=3, w1=2, then 2 goes to w1 (2<3), then
-		// 1 goes to w0 — both workers finish at 4s.
-		{"two-workers-packed", s(3, 2, 2, 1), 2, 4 * time.Second},
-		// More workers than spans clamps to one span per worker.
-		{"workers-clamped", s(3, 2), 8, 3 * time.Second},
-		{"zero-workers-serial", s(1, 1), 0, 2 * time.Second},
-		// Ties go to the lowest worker index: 2,2 land on w0,w1; the next
-		// 2 returns to w0.
-		{"tie-lowest-index", s(2, 2, 2), 2, 4 * time.Second},
-		// A straggler dominates regardless of width.
-		{"straggler-bound", s(10, 1, 1, 1), 4, 10 * time.Second},
-	}
-	for _, c := range cases {
-		if got := PoolSchedule(c.spans, c.workers); got != c.want {
-			t.Errorf("%s: PoolSchedule(%v, %d) = %v, want %v",
-				c.name, c.spans, c.workers, got, c.want)
-		}
-	}
-}
-
 func TestPoolOccupancy(t *testing.T) {
 	spans := []time.Duration{3 * time.Second, 2 * time.Second, 2 * time.Second, time.Second}
 	// Perfectly packed at 2 workers: 8s of work over 2×4s.

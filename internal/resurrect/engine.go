@@ -153,9 +153,8 @@ type Config struct {
 	// Stream enables streaming resurrection: candidates are admitted in
 	// SLO-tier order through a deterministic priority queue (internal/
 	// sched) and the install commit is pipelined per candidate behind a
-	// tier-then-PID-order cursor, so the first tier-0 process resumes as
-	// soon as its own scan and commit are done instead of waiting for the
-	// whole batch's scan barrier. Off (the default) preserves the classic
+	// tier-then-PID-order cursor, so tier-0 processes are scanned and
+	// committed first. Off (the default) preserves the classic
 	// scan-then-install batch pass byte for byte.
 	Stream bool
 	// Tiers maps a program name to its admission tier (0 critical … 2
@@ -302,9 +301,10 @@ type Report struct {
 	PerCandidate []time.Duration
 	// PerScan / PerInstall split each candidate's virtual time into its
 	// read-only scan and its full install (crash procedure included), in
-	// the same order as Procs/PerCandidate. They feed the pipelined-commit
-	// schedule model (ScheduleAt for streamed passes, FirstResumeAt for
-	// both). Width-independent like PerCandidate.
+	// the same order as Procs/PerCandidate. PerScan splits each of Slots'
+	// jobs into scan and blocked install; the live pass advanced the
+	// machine clock by the full installs. Width-independent like
+	// PerCandidate.
 	PerScan    []time.Duration
 	PerInstall []time.Duration
 	// Streamed records that this pass ran the streaming (admission-
@@ -493,8 +493,8 @@ func (e *Engine) MainSwapDevice() (devName string, err error) {
 // its own counting reader, Accounting shard and virtual-time ledger; the
 // shards are then merged with a deterministic reduction (stable candidate
 // order, saturating adds) and the plans installed serially. The machine
-// clock advances by the parallel schedule — prologue plus the critical-path
-// maximum over workers — while Report.Duration keeps the serial sum, so
+// clock advances by the parallel schedule — prologue plus the round-robin
+// makespan (sched.Plan) — while Report.Duration keeps the serial sum, so
 // every recorded number is identical at any worker count.
 func (e *Engine) Run(cfg Config) *Report {
 	start := e.K.M.Clock.Now()
@@ -591,17 +591,19 @@ func (e *Engine) Run(cfg Config) *Report {
 	scratch := sim.NewClock()
 	e.K.M.Clock = scratch
 	// perCand is each candidate's *blocked* span — scan plus install time
-	// until the process was runnable; totals is scan plus the full install
+	// until the process was runnable; PerInstall is the full install
 	// including the crash procedure. Eager installs block to the end, so
-	// the two are identical there and all eager observables are unchanged.
+	// scan + install and the blocked span are identical there.
 	perCand := make([]time.Duration, len(selected))
-	totals := make([]time.Duration, len(selected))
+	rep.PerScan = make([]time.Duration, len(plans))
+	rep.PerInstall = make([]time.Duration, len(plans))
 	for i, pl := range plans {
 		m0 := scratch.Now()
 		pl.resumeClock = -1
 		rep.Procs = append(rep.Procs, e.installOne(pl))
-		totals[i] = pl.scanDur + scratch.Since(m0)
-		perCand[i] = totals[i]
+		rep.PerScan[i] = pl.scanDur
+		rep.PerInstall[i] = scratch.Since(m0)
+		perCand[i] = pl.scanDur + rep.PerInstall[i]
 		if pl.resumeClock >= 0 {
 			// Lazy candidate: it resumed at context install; everything
 			// after that (the crash procedure, the policy decision, the
@@ -616,29 +618,15 @@ func (e *Engine) Run(cfg Config) *Report {
 
 	rep.Acct = e.acct
 	rep.PerCandidate = perCand
-	rep.PerScan = make([]time.Duration, len(plans))
-	rep.PerInstall = make([]time.Duration, len(plans))
-	for i, pl := range plans {
-		rep.PerScan[i] = pl.scanDur
-		rep.PerInstall[i] = totals[i] - pl.scanDur
-	}
-	spans := shardSpans(perCand, workers)
-	totalSpans := shardSpans(totals, workers)
-	critical := maxSpan(totalSpans)
 	// The interruption clock models the parallel schedule: prologue (already
-	// on the clock) plus the slowest worker. The machine advances by the
-	// *total* critical path — lazy or not, the install work all happened —
-	// while Duration sums only the blocked spans, the per-process
-	// interruption the paper's tables measure. The serial morph epilogue is
-	// charged by core after Run returns.
-	e.K.M.Clock.Advance(critical)
-	rep.Duration = rep.Prologue + sumSpans(spans)
-	rep.Parallel = ParallelStats{
-		Workers:      workers,
-		PerWorker:    totalSpans,
-		CriticalPath: critical,
-		Duration:     e.K.M.Clock.Since(start),
-	}
+	// on the clock) plus the round-robin makespan. The machine advances by
+	// the makespan of the *full* installs — lazy or not, the install work
+	// all happened — while Duration sums only the blocked spans, the
+	// per-process interruption the paper's tables measure. The serial morph
+	// epilogue is charged by core after Run returns.
+	e.K.M.Clock.Advance(sched.Makespan(sched.Plan(sched.RoundRobin, rep.PerScan, rep.PerInstall, workers)))
+	rep.Duration = rep.Prologue + sumSpans(perCand)
+	rep.Parallel = ParallelStats{Workers: workers, Duration: e.K.M.Clock.Since(start)}
 	e.publish(rep)
 	return rep
 }

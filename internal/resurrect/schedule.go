@@ -40,40 +40,10 @@ func (c Config) effectiveWorkers(candidates int) int {
 type ParallelStats struct {
 	// Workers is the resolved pool width this pass ran with.
 	Workers int
-	// PerWorker is each worker's summed per-candidate virtual time under
-	// the deterministic round-robin sharding.
-	PerWorker []time.Duration
-	// CriticalPath is the slowest worker's total — the parallel phase's
-	// modeled duration.
-	CriticalPath time.Duration
 	// Duration is the virtual time the whole pass consumed at this width:
-	// serial prologue + critical path. This is what the machine clock
-	// advanced during Run.
+	// serial prologue + the makespan of the full installs. This is what
+	// the machine clock advanced during Run.
 	Duration time.Duration
-}
-
-// shardSpans distributes per-candidate durations over workers with the
-// deterministic round-robin rule (candidate i goes to worker i mod w, in
-// stable candidate order) and returns each worker's total.
-func shardSpans(perCandidate []time.Duration, workers int) []time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	spans := make([]time.Duration, workers)
-	for i, d := range perCandidate {
-		spans[i%workers] += d
-	}
-	return spans
-}
-
-func maxSpan(spans []time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range spans {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 func sumSpans(spans []time.Duration) time.Duration {
@@ -84,23 +54,33 @@ func sumSpans(spans []time.Duration) time.Duration {
 	return s
 }
 
-// ScheduleAt evaluates the parallel schedule model at an arbitrary worker
-// count without re-running anything: serial prologue plus the critical-path
-// maximum over round-robin shards of the stored per-candidate durations.
-// It is a pure function of worker-count-independent inputs, so tables can
-// render a parallel column at CanonicalWorkers no matter how wide the live
-// pool was.
+// Slots is the report's modeled schedule at the given worker width, in
+// candidate order, with times relative to the end of the prologue. It is
+// the only place a report is fed to sched.Plan: a streamed pass runs
+// under the commit cursor, a batch pass round-robin (exactly how its
+// goroutines shard the candidates). Each slot is the candidate's scan
+// followed by its blocked install, so a slot ends when its process
+// resumes; a lazy candidate's post-resume work overlaps normal operation
+// and stays off the schedule. A report without the scan/install split
+// schedules PerCandidate as plain jobs.
+func (r *Report) Slots(workers int) []sched.Slot {
+	if !r.hasSplit() {
+		return sched.Plan(sched.RoundRobin, r.PerCandidate, nil, workers)
+	}
+	policy := sched.RoundRobin
+	if r.Streamed {
+		policy = sched.Cursor
+	}
+	return sched.Plan(policy, r.PerScan, r.blockedSpans(), workers)
+}
+
+// ScheduleAt evaluates the schedule model at an arbitrary worker count
+// without re-running anything: serial prologue plus the makespan of
+// Slots(workers). It is a pure function of worker-count-independent
+// inputs, so tables can render a parallel column at CanonicalWorkers no
+// matter how wide the live pool was.
 func (r *Report) ScheduleAt(workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	if r.Streamed && r.hasSplit() {
-		// Streamed pass: the pipelined-commit schedule over the blocked
-		// spans (scan fan-out, commits behind the admission-order cursor).
-		_, makespan, _ := sched.Pipeline(r.PerScan, r.blockedSpans(), workers)
-		return r.Prologue + makespan
-	}
-	return r.Prologue + maxSpan(shardSpans(r.PerCandidate, workers))
+	return r.Prologue + sched.Makespan(r.Slots(workers))
 }
 
 // SpeedupAt returns the modeled interruption speedup of the resurrection

@@ -4,11 +4,11 @@ package resurrect
 // admission and the pipelined install commit.
 //
 // The classic pass (engine.go Run) is a batch: a serial full-heap walk
-// lists candidates, every candidate scans behind a barrier, then installs
-// serialize in list order. Time-to-first-resume therefore grows with the
-// whole population — fine at 8×MySQL, hopeless at fleet scale. The
-// streaming pass keeps every observable deterministic while removing both
-// population bottlenecks:
+// lists candidates, which are then sharded round-robin over the workers in
+// list order (sched.Plan's RoundRobin policy), so a critical process
+// listed late waits behind everything its worker was handed first, and
+// the discovery prologue grows with the whole population. The streaming
+// pass keeps every observable deterministic while attacking both:
 //
 //   - Discovery seeds scanners from the dead kernel's candidate index
 //     (internal/layout): a compact CRC-framed array the main kernel
@@ -22,7 +22,11 @@ package resurrect
 //     the cursor, then classifies + installs while other workers keep
 //     scanning. Commits execute in strict admission order with shared
 //     classification state, so the report is bit-identical at any width
-//     — only the modeled schedule (sched.Pipeline) changes.
+//     — only the modeled schedule (sched.Plan's Cursor policy) changes.
+//
+// The price of the cursor is that commits serialize: tier-0 resumes
+// sooner, but the last process can resume later than under the batch
+// pass's round-robin once the population is large.
 
 import (
 	"sort"
@@ -231,17 +235,11 @@ func (e *Engine) runStream(cfg Config, rep *Report, selected []Candidate, mainSw
 	rep.Streamed = true
 	rep.Tiers = tiers
 	rep.Duration = rep.Prologue + sumSpans(perCand)
-	// The machine clock advances by the pipelined schedule's makespan over
-	// the *full* installs — lazy or not, the install work all happened —
-	// while Duration keeps the serial blocked sum, same as the batch pass.
-	_, makespan, busy := sched.Pipeline(perScan, perInstall, workers)
-	e.K.M.Clock.Advance(makespan)
-	rep.Parallel = ParallelStats{
-		Workers:      workers,
-		PerWorker:    busy,
-		CriticalPath: makespan,
-		Duration:     e.K.M.Clock.Since(start),
-	}
+	// The machine clock advances by the commit-cursor makespan over the
+	// *full* installs — lazy or not, the install work all happened — while
+	// Duration keeps the serial blocked sum, same as the batch pass.
+	e.K.M.Clock.Advance(sched.Makespan(sched.Plan(sched.Cursor, perScan, perInstall, workers)))
+	rep.Parallel = ParallelStats{Workers: workers, Duration: e.K.M.Clock.Since(start)}
 	e.publish(rep)
 }
 
@@ -259,40 +257,23 @@ func (r *Report) blockedSpans() []time.Duration {
 	return out
 }
 
-// hasSplit reports whether the report carries the scan/install split the
-// stream schedule model needs (older or degenerate reports may not).
+// hasSplit reports whether the report carries the scan/install split
+// Slots needs (older or degenerate reports may not).
 func (r *Report) hasSplit() bool {
 	return len(r.PerScan) == len(r.PerCandidate) &&
 		len(r.PerInstall) == len(r.PerCandidate) && len(r.PerCandidate) > 0
 }
 
 // ResumeTimesAt models, at the given worker width, each candidate's
-// time from pass start to its process resuming, in Procs order. For a
-// streamed pass this is the pipelined-commit schedule; for a batch pass
-// it is the scan barrier plus the serial install prefix. A pure function
-// of width-independent report fields.
+// time from pass start to its process resuming, in Procs order: the
+// prologue plus the end of the candidate's slot in Slots(workers). Its
+// maximum is therefore ScheduleAt(workers). A pure function of
+// width-independent report fields.
 func (r *Report) ResumeTimesAt(workers int) []time.Duration {
-	if !r.hasSplit() {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	blocked := r.blockedSpans()
-	out := make([]time.Duration, len(r.PerCandidate))
-	if r.Streamed {
-		slots, _, _ := sched.Pipeline(r.PerScan, r.PerInstall, workers)
-		for i := range out {
-			out[i] = r.Prologue + slots[i].CommitStart + blocked[i]
-		}
-		return out
-	}
-	// Batch: every scan completes behind the barrier, installs serialize
-	// in stored candidate order.
-	t := maxSpan(shardSpans(r.PerScan, workers))
-	for i := range out {
-		out[i] = r.Prologue + t + blocked[i]
-		t += r.PerInstall[i]
+	slots := r.Slots(workers)
+	out := make([]time.Duration, len(slots))
+	for i, s := range slots {
+		out[i] = r.Prologue + s.CommitEnd
 	}
 	return out
 }

@@ -1,10 +1,11 @@
 // Package sched provides the deterministic SLO-priority admission
 // scheduler behind streaming resurrection: candidates carry tiers (tier-0
 // critical service → tier-2 batch), a priority queue with aging decides
-// the admission order that feeds the scan pool, and a pipelined-commit
-// schedule model evaluates the resulting install timeline at any worker
-// width as a pure function — so campaign- and resurrect-level parallelism
-// compose without perturbing a single observable.
+// the admission order that feeds the scan pool, and Plan — the only
+// schedule model in the tree — evaluates the resulting timelines (batch,
+// streamed and campaign-pool) at any worker width as a pure function, so
+// campaign- and resurrect-level parallelism compose without perturbing a
+// single observable.
 //
 // Everything here is deliberately free of wall-clock time, maps iterated
 // for ordering, and other nondeterminism sources: admission order and the
@@ -173,9 +174,26 @@ func (q *Queue) Pop() (Item, bool) {
 	return it, true
 }
 
-// Slot is one candidate's position in the modeled pipelined-commit
-// schedule: scans fan out over workers, commits serialize behind the
-// admission-order cursor on the worker that scanned.
+// Policy selects how Plan places jobs on workers.
+type Policy int
+
+// Placement policies.
+const (
+	// RoundRobin runs job i on worker i mod W: the batch resurrection
+	// pass, whose goroutines shard candidates exactly that way.
+	RoundRobin Policy = iota
+	// List runs each job on the earliest-free worker, ties to the lowest
+	// index: the classic list schedule of the campaign worker pool.
+	List
+	// Cursor is List plus the commit cursor: job i's commit starts only
+	// once job i-1's commit has ended. The streamed resurrection pass.
+	Cursor
+)
+
+// Slot is one job's place in a modeled schedule: its scan, then its
+// commit, both on Worker. The worker is busy from ScanStart to CommitEnd;
+// under Cursor the gap between ScanEnd and CommitStart is time spent
+// waiting for the predecessor's commit.
 type Slot struct {
 	Worker      int
 	ScanStart   time.Duration
@@ -184,47 +202,53 @@ type Slot struct {
 	CommitEnd   time.Duration
 }
 
-// Pipeline evaluates the pipelined-commit schedule for candidates in
-// admission order: candidate i's scan is dispatched to the
-// earliest-free worker (ties to the lowest worker index), and its commit
-// starts once both its own scan and candidate i-1's commit have finished
-// — the commit cursor. The worker stays occupied through the commit it
-// performs. Returns the per-candidate slots, the makespan (last commit
-// end), and each worker's summed busy time. A pure function of its
-// arguments: the schedule model behind Report.ScheduleAt for streamed
-// passes.
-func Pipeline(scans, commits []time.Duration, workers int) ([]Slot, time.Duration, []time.Duration) {
+// Plan is the one schedule model: it places jobs, in order, on workers
+// under the given policy and returns each job's slot. Job i scans for
+// scans[i] and then commits for commits[i] (a missing commit counts as
+// zero) on the same worker, which stays occupied until the commit ends.
+// A pure function of its arguments, so any modeled time derived from it
+// replays bit-identically at any live pool width; workers < 1 means one.
+func Plan(p Policy, scans, commits []time.Duration, workers int) []Slot {
 	if workers < 1 {
 		workers = 1
 	}
 	free := make([]time.Duration, workers)
-	busy := make([]time.Duration, workers)
 	slots := make([]Slot, len(scans))
 	var prevCommitEnd time.Duration
-	for i := range scans {
-		w := 0
-		for j := 1; j < workers; j++ {
-			if free[j] < free[w] {
-				w = j
+	for i, scan := range scans {
+		w := i % workers
+		if p != RoundRobin {
+			w = 0
+			for j := 1; j < workers; j++ {
+				if free[j] < free[w] {
+					w = j
+				}
 			}
 		}
 		s := Slot{Worker: w, ScanStart: free[w]}
-		s.ScanEnd = s.ScanStart + scans[i]
+		s.ScanEnd = s.ScanStart + scan
 		s.CommitStart = s.ScanEnd
-		if prevCommitEnd > s.CommitStart {
+		if p == Cursor && prevCommitEnd > s.CommitStart {
 			s.CommitStart = prevCommitEnd
 		}
-		s.CommitEnd = s.CommitStart + commits[i]
+		s.CommitEnd = s.CommitStart
+		if i < len(commits) {
+			s.CommitEnd += commits[i]
+		}
 		prevCommitEnd = s.CommitEnd
 		free[w] = s.CommitEnd
-		busy[w] += scans[i] + commits[i]
 		slots[i] = s
 	}
-	var makespan time.Duration
-	for i := range slots {
-		if slots[i].CommitEnd > makespan {
-			makespan = slots[i].CommitEnd
+	return slots
+}
+
+// Makespan is when the last slot ends (zero for no slots).
+func Makespan(slots []Slot) time.Duration {
+	var m time.Duration
+	for _, s := range slots {
+		if s.CommitEnd > m {
+			m = s.CommitEnd
 		}
 	}
-	return slots, makespan, busy
+	return m
 }

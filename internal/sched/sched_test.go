@@ -123,17 +123,14 @@ func TestQueueDeterministicTieBreak(t *testing.T) {
 func TestPipelineSerialEquivalence(t *testing.T) {
 	scans := []time.Duration{3, 1, 2}
 	commits := []time.Duration{2, 2, 2}
-	slots, makespan, busy := Pipeline(scans, commits, 1)
+	slots := Plan(Cursor, scans, commits, 1)
 	// One worker: strict serial scan+commit chain.
 	var want time.Duration
 	for i := range scans {
 		want += scans[i] + commits[i]
 	}
-	if makespan != want {
+	if makespan := Makespan(slots); makespan != want {
 		t.Fatalf("1-worker makespan = %v, want serial sum %v", makespan, want)
-	}
-	if busy[0] != want {
-		t.Fatalf("1-worker busy = %v, want %v", busy[0], want)
 	}
 	for i := 1; i < len(slots); i++ {
 		if slots[i].ScanStart < slots[i-1].CommitEnd {
@@ -146,7 +143,7 @@ func TestPipelineCommitOrderInvariant(t *testing.T) {
 	scans := []time.Duration{5, 1, 1, 1}
 	commits := []time.Duration{1, 1, 1, 1}
 	for workers := 1; workers <= 4; workers++ {
-		slots, makespan, _ := Pipeline(scans, commits, workers)
+		slots := Plan(Cursor, scans, commits, workers)
 		for i := 1; i < len(slots); i++ {
 			if slots[i].CommitStart < slots[i-1].CommitEnd {
 				t.Fatalf("w=%d: commit %d starts %v before predecessor ends %v",
@@ -156,7 +153,7 @@ func TestPipelineCommitOrderInvariant(t *testing.T) {
 				t.Fatalf("w=%d: commit %d starts before its scan ends", workers, i)
 			}
 		}
-		if last := slots[len(slots)-1].CommitEnd; makespan != last {
+		if makespan, last := Makespan(slots), slots[len(slots)-1].CommitEnd; makespan != last {
 			t.Fatalf("w=%d: makespan %v != last commit end %v", workers, makespan, last)
 		}
 	}
@@ -165,9 +162,9 @@ func TestPipelineCommitOrderInvariant(t *testing.T) {
 func TestPipelineWidthMonotone(t *testing.T) {
 	scans := []time.Duration{4, 4, 4, 4, 4, 4, 4, 4}
 	commits := []time.Duration{1, 1, 1, 1, 1, 1, 1, 1}
-	_, m1, _ := Pipeline(scans, commits, 1)
-	_, m4, _ := Pipeline(scans, commits, 4)
-	_, m8, _ := Pipeline(scans, commits, 8)
+	m1 := Makespan(Plan(Cursor, scans, commits, 1))
+	m4 := Makespan(Plan(Cursor, scans, commits, 4))
+	m8 := Makespan(Plan(Cursor, scans, commits, 8))
 	if !(m8 <= m4 && m4 <= m1) {
 		t.Fatalf("makespan not monotone in width: 1w=%v 4w=%v 8w=%v", m1, m4, m8)
 	}
@@ -177,12 +174,11 @@ func TestPipelineWidthMonotone(t *testing.T) {
 }
 
 func TestPipelineEmpty(t *testing.T) {
-	slots, makespan, busy := Pipeline(nil, nil, 4)
-	if len(slots) != 0 || makespan != 0 {
-		t.Fatalf("empty pipeline: slots=%d makespan=%v", len(slots), makespan)
-	}
-	if len(busy) != 4 {
-		t.Fatalf("busy = %d entries, want workers", len(busy))
+	for _, p := range []Policy{RoundRobin, List, Cursor} {
+		slots := Plan(p, nil, nil, 4)
+		if len(slots) != 0 || Makespan(slots) != 0 {
+			t.Fatalf("policy %d: empty plan: slots=%d makespan=%v", p, len(slots), Makespan(slots))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package spans
 
 import (
+	"slices"
 	"time"
 
 	"otherworld/internal/resurrect"
@@ -18,22 +19,24 @@ type Share struct {
 }
 
 // CriticalPath attributes the modeled interruption at a given worker width
-// to the chain of spans that bounds it. Under the deterministic round-robin
-// schedule (candidate i → worker i mod W) the slowest worker's candidate
-// chain *is* the critical path: the outage ends only when that worker's
-// last blocked span does, everything else overlaps it.
+// to the chain of spans that bounds it. The chain is read off the report's
+// schedule (resurrect.Report.Slots, the same model ScheduleAt and
+// ResumeTimesAt use): it ends at the slot that resumes last and walks back
+// through whatever that slot waited for — the commit-cursor predecessor
+// when its commit waited, otherwise the previous slot on its worker.
 type CriticalPath struct {
 	// Workers is the analysis width.
 	Workers int
 	// Interruption is the modeled outage at that width: the serial
-	// microreboot overhead, the resurrection prologue, and the critical
-	// worker's summed blocked spans. It equals
-	// core.FailureOutcome.InterruptionAt(Workers) by construction.
+	// microreboot overhead, the resurrection prologue, and the chain's
+	// summed segments. It equals core.FailureOutcome.InterruptionAt(Workers)
+	// and microreboot + the last ResumeTimesAt(Workers) by construction.
 	Interruption time.Duration
-	// Worker is the critical worker's index (lowest index wins ties).
+	// Worker is the worker of the slot that resumes last (lowest index
+	// wins ties).
 	Worker int
-	// Candidates are the candidate indices on the critical worker, in
-	// stable candidate order.
+	// Candidates are the candidate indices on the chain, in stable
+	// candidate order.
 	Candidates []int
 	// Shares partitions Interruption without remainder: the sum of every
 	// Share.Dur is exactly Interruption, so rendered percentages always
@@ -52,13 +55,16 @@ func (cp *CriticalPath) Permille(s Share) int64 {
 
 // criticalPath extracts the attribution from worker-count-independent
 // report fields. Every nanosecond of the modeled interruption lands in
-// exactly one bucket: the serial stages in theirs, each critical-path
-// candidate's blocked span split across its timeline phases in execution
-// order, and any blocked remainder the timeline did not itemize in "other".
-// Timeline tail beyond the blocked span is deferred (post-resume) work and
-// deliberately excluded — it does not bound the outage. Negative durations
-// can only come from a corrupted report; they are clamped to zero on every
-// path so the shares-sum invariant survives arbitrary input (FuzzSpanBuild).
+// exactly one bucket: the serial stages in theirs, each chain segment split
+// across its candidate's timeline phases in execution order, and any
+// remainder the timeline did not itemize in "other". A full segment (the
+// candidate's scan and blocked install) reads the timeline from its start;
+// a commit-only segment (the candidate's scan overlapped the predecessor's
+// commit) first skips the scan's share of it. Timeline tail beyond the
+// blocked span is deferred (post-resume) work and never reached. Negative
+// durations can only come from a corrupted report; they are clamped to
+// zero on every path so the shares-sum invariant survives arbitrary input
+// (FuzzSpanBuild).
 func criticalPath(rep *resurrect.Report, outside time.Duration, workers int) CriticalPath {
 	pos := func(d time.Duration) time.Duration {
 		if d < 0 {
@@ -68,44 +74,64 @@ func criticalPath(rep *resurrect.Report, outside time.Duration, workers int) Cri
 	}
 	cp := CriticalPath{Workers: workers}
 	prologue := pos(rep.Prologue)
-	totals := make([]time.Duration, workers)
-	for i, d := range rep.PerCandidate {
-		totals[i%workers] += pos(d)
-	}
-	for wk := 1; wk < workers; wk++ {
-		if totals[wk] > totals[cp.Worker] {
-			cp.Worker = wk
-		}
-	}
-	cp.Interruption = outside + prologue + totals[cp.Worker]
+	cp.Interruption = outside + prologue
 
 	// Phase buckets are indexed by resurrect.Phase so the output order is
 	// the pipeline's execution order, never a map walk.
 	const maxPhase = int(resurrect.PhasePolicy) + 1
 	var phases [maxPhase]time.Duration
 	var other time.Duration
-	for i := cp.Worker; i < len(rep.PerCandidate); i += workers {
-		cp.Candidates = append(cp.Candidates, i)
-		remaining := pos(rep.PerCandidate[i])
+	attribute := func(i int, skip, seg time.Duration) {
+		cp.Interruption += seg
 		if i < len(rep.Procs) {
 			for _, st := range rep.Procs[i].Timeline {
-				if remaining <= 0 {
+				if seg <= 0 {
 					break
 				}
 				take := pos(st.Duration)
-				if take > remaining {
-					take = remaining
-				}
+				cut := min(skip, take)
+				skip -= cut
+				take = min(take-cut, seg)
 				if p := int(st.Phase); p >= 0 && p < maxPhase {
 					phases[p] += take
 				} else {
 					other += take
 				}
-				remaining -= take
+				seg -= take
 			}
 		}
-		other += remaining
+		other += seg
 	}
+
+	slots := rep.Slots(workers)
+	last := -1
+	for i, s := range slots {
+		if last < 0 || s.CommitEnd > slots[last].CommitEnd ||
+			(s.CommitEnd == slots[last].CommitEnd && s.Worker <= slots[last].Worker) {
+			last = i
+		}
+	}
+	if last >= 0 {
+		cp.Worker = slots[last].Worker
+	}
+	for i := last; i >= 0; {
+		s := slots[i]
+		cp.Candidates = append(cp.Candidates, i)
+		if i > 0 && s.CommitStart > s.ScanEnd {
+			// The commit waited for the cursor: the predecessor's commit
+			// ended exactly when this one started.
+			attribute(i, pos(s.ScanEnd-s.ScanStart), pos(s.CommitEnd-s.CommitStart))
+			i--
+			continue
+		}
+		// Otherwise the slot started when the previous one on its worker
+		// ended (or at zero, the worker's first slot).
+		attribute(i, 0, pos(s.CommitEnd-s.ScanStart))
+		for i--; i >= 0 && slots[i].Worker != s.Worker; {
+			i--
+		}
+	}
+	slices.Reverse(cp.Candidates)
 
 	cp.Shares = append(cp.Shares, Share{Name: "microreboot", Dur: outside})
 	cp.Shares = append(cp.Shares, Share{Name: "prologue", Dur: prologue})

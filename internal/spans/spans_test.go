@@ -3,6 +3,7 @@ package spans
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,56 @@ func TestBuildSharesSumToInterruption(t *testing.T) {
 		if tree.Critical.Interruption <= 0 {
 			t.Fatalf("width %d: nonpositive interruption %v", w, tree.Critical.Interruption)
 		}
+	}
+}
+
+// TestCriticalPathFollowsSchedule pins the chain walk on hand-built
+// schedules: a streamed pass whose commits wait on the cursor (commit-only
+// segments skip the scan's share of the timeline), and a batch pass whose
+// trailing zero-length candidate still sits on its worker's chain.
+func TestCriticalPathFollowsSchedule(t *testing.T) {
+	ms := time.Millisecond
+	step := func(ph resurrect.Phase, d time.Duration) resurrect.PhaseStep {
+		return resurrect.PhaseStep{Phase: ph, Duration: d}
+	}
+	streamed := &resurrect.Report{
+		Streamed:     true,
+		PerScan:      []time.Duration{ms, ms, ms / 2},
+		PerInstall:   []time.Duration{4 * ms, ms, ms},
+		PerCandidate: []time.Duration{5 * ms, 2 * ms, 3 * ms / 2},
+		Procs: []resurrect.ProcReport{
+			{Timeline: resurrect.Timeline{step(resurrect.PhaseParse, ms), step(resurrect.PhasePageCopy, 4*ms)}},
+			{Timeline: resurrect.Timeline{step(resurrect.PhaseParse, ms), step(resurrect.PhasePageCopy, ms)}},
+			{Timeline: resurrect.Timeline{step(resurrect.PhaseParse, ms/2), step(resurrect.PhasePolicy, ms)}},
+		},
+	}
+	// At two workers: 0 scans [0,1] and commits [1,5] on w0; 1 scans [0,1]
+	// on w1 and waits for the cursor, committing [5,6]; 2 scans [5,5.5] on
+	// w0 and waits again, committing [6,7].
+	cp := criticalPath(streamed, 0, 2)
+	want := []Share{{"microreboot", 0}, {"prologue", 0}, {"parse", ms}, {"page-copy", 5 * ms}, {"policy", ms}}
+	if cp.Interruption != 7*ms || cp.Worker != 0 || fmt.Sprint(cp.Candidates) != "[0 1 2]" ||
+		fmt.Sprint(cp.Shares) != fmt.Sprint(want) {
+		t.Fatalf("streamed chain = %v on worker %d, candidates %v, shares %v; want 7ms on worker 0, [0 1 2], %v",
+			cp.Interruption, cp.Worker, cp.Candidates, cp.Shares, want)
+	}
+	if got := streamed.ScheduleAt(2); got != cp.Interruption {
+		t.Fatalf("ScheduleAt(2) = %v, critical path %v", got, cp.Interruption)
+	}
+
+	batch := &resurrect.Report{PerCandidate: []time.Duration{3 * ms, 0, ms}}
+	cp = criticalPath(batch, 0, 2)
+	if cp.Interruption != 4*ms || cp.Worker != 0 || fmt.Sprint(cp.Candidates) != "[0 2]" {
+		t.Fatalf("batch chain = %v on worker %d, candidates %v; want 4ms on worker 0, [0 2]",
+			cp.Interruption, cp.Worker, cp.Candidates)
+	}
+	batch.PerCandidate = []time.Duration{ms, 3 * ms}
+	if cp = criticalPath(batch, 0, 2); cp.Worker != 1 || fmt.Sprint(cp.Candidates) != "[1]" {
+		t.Fatalf("batch chain on worker %d, candidates %v; want worker 1, [1]", cp.Worker, cp.Candidates)
+	}
+	batch.PerCandidate = []time.Duration{3 * ms, 0}
+	if cp = criticalPath(batch, 0, 1); fmt.Sprint(cp.Candidates) != "[0 1]" {
+		t.Fatalf("zero-length tail dropped from the chain: candidates %v, want [0 1]", cp.Candidates)
 	}
 }
 
@@ -183,24 +234,49 @@ func TestPercentileNearestRank(t *testing.T) {
 
 // FuzzSpanBuild feeds arbitrary bytes through the flight-recorder parser
 // into the span builder, alongside a synthetic report whose schedule inputs
-// and timelines the fuzzer also skews. The builder's contract is total:
-// skip-and-count, never a panic or an abort, and the critical-path shares
-// still sum exactly to the interruption.
+// and timelines the fuzzer also skews. nCand's low bits size the candidate
+// and process lists; its high bits make the report streamed, misalign the
+// scan/install split and the tiers, take the scan lengths from interruptNS
+// instead of spanNS, and pick the analysis width. The builder's contract is
+// total: skip-and-count, never a panic or an abort, and the critical-path
+// shares still sum exactly to the interruption. For a well-formed report
+// (non-negative, bounded, scans within their candidate's span) the critical
+// path is also exactly the microreboot plus ScheduleAt at that width.
 func FuzzSpanBuild(f *testing.F) {
 	f.Add([]byte{}, uint8(2), int64(1e6), int64(5e7))
 	f.Add([]byte{0x7C, 0x0D, 1, 0}, uint8(9), int64(-5), int64(0))
 	f.Add(make([]byte, 300), uint8(0), int64(1e9), int64(-1))
+	f.Add([]byte{}, uint8(0x0F), int64(3e6), int64(2e8))
+	f.Add([]byte{}, uint8(0xEF), int64(1e9), int64(4e5))
 	f.Fuzz(func(t *testing.T, ring []byte, nCand uint8, spanNS, interruptNS int64) {
 		parsed := parseFuzzRing(t, ring)
 
 		rep := &resurrect.Report{
 			Prologue: 10 * time.Microsecond,
 			Trace:    parsed,
+			Streamed: nCand&0x08 != 0,
+		}
+		misalign := nCand&0x10 != 0
+		scanNS := spanNS
+		if nCand&0x20 != 0 {
+			scanNS = interruptNS
 		}
 		// Deliberately mismatched candidate/report counts exercise the gap
-		// accounting; spanNS may be negative or huge.
-		for i := 0; i < int(nCand%8); i++ {
-			rep.PerCandidate = append(rep.PerCandidate, time.Duration(spanNS))
+		// accounting; spanNS may be negative or huge. Per-candidate shifts
+		// skew the lengths so streamed commits sometimes wait on the cursor.
+		n := int(nCand % 8)
+		for i := 0; i < n; i++ {
+			span := time.Duration(spanNS >> (i % 3))
+			scan := time.Duration(scanNS >> (1 + i%4))
+			rep.PerCandidate = append(rep.PerCandidate, span)
+			rep.PerScan = append(rep.PerScan, scan)
+			rep.PerInstall = append(rep.PerInstall, span-scan+time.Duration(i))
+			rep.Tiers = append(rep.Tiers, int(spanNS>>i)%5-1)
+		}
+		if misalign && n > 0 {
+			rep.PerScan = append(rep.PerScan, time.Duration(scanNS))
+			rep.PerInstall = rep.PerInstall[:n-1]
+			rep.Tiers = rep.Tiers[1:]
 		}
 		for i := 0; i < int(nCand%5); i++ {
 			rep.Procs = append(rep.Procs, resurrect.ProcReport{
@@ -208,6 +284,7 @@ func FuzzSpanBuild(f *testing.F) {
 				Outcome:   resurrect.OutcomeContinued,
 				Timeline: []resurrect.PhaseStep{
 					{Phase: resurrect.PhaseParse, Duration: time.Duration(spanNS) / 2},
+					{Phase: resurrect.PhasePolicy, Duration: time.Duration(scanNS) / 3},
 				},
 			})
 		}
@@ -215,9 +292,10 @@ func FuzzSpanBuild(f *testing.F) {
 		for _, d := range rep.PerCandidate {
 			rep.Duration += d
 		}
+		workers := int(nCand >> 6)
 
 		tree, err := Build(Input{
-			App: "fuzz", Report: rep,
+			App: "fuzz", Report: rep, Workers: workers,
 			Interruption: time.Duration(interruptNS),
 			PostEvents:   parsed.Events,
 		})
@@ -233,6 +311,20 @@ func FuzzSpanBuild(f *testing.F) {
 		}
 		if sum != tree.Critical.Interruption {
 			t.Fatalf("shares sum %v != interruption %v", sum, tree.Critical.Interruption)
+		}
+		const bound = time.Duration(1) << 40
+		wellFormed := true
+		for i, d := range rep.PerCandidate {
+			if d < 0 || d > bound || (!misalign && (rep.PerScan[i] < 0 || rep.PerScan[i] > d)) {
+				wellFormed = false
+			}
+		}
+		if wellFormed {
+			outside := max(time.Duration(interruptNS)-rep.Duration, 0)
+			if want := outside + rep.ScheduleAt(tree.Workers); tree.Critical.Interruption != want {
+				t.Fatalf("critical path %v != microreboot + ScheduleAt(%d) = %v",
+					tree.Critical.Interruption, tree.Workers, want)
+			}
 		}
 		// Rendering and export must be total too.
 		_ = tree.Render()
