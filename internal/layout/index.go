@@ -47,10 +47,10 @@ type IndexHeader struct {
 
 // IndexEntry is one decoded candidate pointer.
 type IndexEntry struct {
-	PID  uint32
-	Addr uint64 // physical address of the TypeProc descriptor record
-	Gen  uint64 // generation the entry was written under
-	Name string
+	PID       uint32
+	Addr      uint64 // physical address of the TypeProc descriptor record
+	Gen       uint64 // generation the entry was written under
+	Name      string
 	Program   string
 	CrashProc string
 }

@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
 	"otherworld/internal/hw"
+	"otherworld/internal/layout"
+	"otherworld/internal/phys"
 	"otherworld/internal/resurrect"
 )
 
@@ -20,12 +23,21 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // servers on one machine, warmed up, with the resurrection pipeline pinned
 // to the given worker count.
 func multiMySQLMachine(t *testing.T, workers int) *core.Machine {
+	return multiMySQLMachineWith(t, 4242, workers, nil)
+}
+
+// multiMySQLMachineWith is multiMySQLMachine at the given seed, with tweak
+// (if non-nil) applied to the options before boot.
+func multiMySQLMachineWith(t *testing.T, seed int64, workers int, tweak func(*core.Options)) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
 	opts.CrashRegionMB = 16
-	opts.Seed = 4242
+	opts.Seed = seed
 	opts.Resurrection.Workers = workers
+	if tweak != nil {
+		tweak(&opts)
+	}
 	m, err := core.NewMachine(opts)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
@@ -135,4 +147,119 @@ func TestResurrectParallelSpeedup(t *testing.T) {
 		}
 		prev = cur
 	}
+}
+
+// corruptFirstPTEs rewrites the first present PTE of every dead process to
+// name the lowest free frame — the frame the crash kernel allocates first —
+// the way a wild write into a page table would. Flag bits are kept; only the
+// frame number changes. It returns how many PTEs it rewrote.
+func corruptFirstPTEs(t *testing.T, m *core.Machine) int {
+	t.Helper()
+	mem := m.HW.Mem
+	free := -1
+	for f := 0; f < mem.NumFrames(); f++ {
+		if mem.Kind(f) == phys.FrameFree {
+			free = f
+			break
+		}
+	}
+	if free < 0 {
+		t.Fatal("no free frame to aim the corrupt PTEs at")
+	}
+	rewritten := 0
+	for _, p := range m.K.Procs() {
+		if pteAddr, pte, ok := firstPresentPTE(t, mem, p.D.PageDir); ok {
+			bad := pte&0xFFF | layout.PTE(uint64(free)<<12)
+			if err := mem.WriteU64(pteAddr, uint64(bad)); err != nil {
+				t.Fatal(err)
+			}
+			rewritten++
+		}
+	}
+	return rewritten
+}
+
+// firstPresentPTE walks a two-level page table from its directory and
+// returns the slot address and value of its first present entry.
+func firstPresentPTE(t *testing.T, mem *phys.Mem, pageDir uint64) (uint64, layout.PTE, bool) {
+	t.Helper()
+	for dir := 0; dir < layout.DirEntries; dir++ {
+		dirEnt, err := mem.ReadU64(pageDir + uint64(dir)*layout.PTESize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dirEnt == 0 {
+			continue
+		}
+		for i := 0; i < layout.PTEsPerPage; i++ {
+			addr := dirEnt + uint64(i)*layout.PTESize
+			raw, err := mem.ReadU64(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pte := layout.PTE(raw); pte.Present() {
+				return addr, pte, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// TestCorruptPTEDeterminismAcrossWorkers aims one PTE of every dead process
+// at the frame the crash kernel allocates first. Scans must read only the
+// dead image — never a frame an install has already written — so the Report
+// is identical at every worker width and on every repeat, for the batch and
+// streamed passes, eager and lazy alike.
+func TestCorruptPTEDeterminismAcrossWorkers(t *testing.T) {
+	for _, seed := range []int64{4242, 7, 31} {
+		for _, stream := range []bool{false, true} {
+			for _, lazy := range []bool{false, true} {
+				name := fmt.Sprintf("seed=%d/stream=%v/lazy=%v", seed, stream, lazy)
+				t.Run(name, func(t *testing.T) {
+					var want string
+					for _, workers := range []int{1, 2, 4, 8} {
+						for rep := 0; rep < 3; rep++ {
+							m := multiMySQLMachineWith(t, seed, workers, func(o *core.Options) {
+								o.Resurrection.Stream = stream
+								o.LazyInstall = lazy
+							})
+							if err := m.K.InjectOops("corrupt pte"); err == nil {
+								t.Fatal("InjectOops returned nil")
+							}
+							if n := corruptFirstPTEs(t, m); n != 8 {
+								t.Fatalf("rewrote %d PTEs, want 8", n)
+							}
+							out, err := m.HandleFailure()
+							if err != nil {
+								t.Fatalf("HandleFailure: %v", err)
+							}
+							if out.Report == nil {
+								t.Fatalf("no resurrection report (result %v)", out.Result)
+							}
+							fp := out.Report.Fingerprint()
+							if want == "" {
+								want = fp
+								continue
+							}
+							if fp != want {
+								t.Fatalf("Workers=%d repeat %d fingerprint differs from Workers=1:\n%s",
+									workers, rep, fingerprintDiff(want, fp))
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// fingerprintDiff returns the first differing line pair of two fingerprints.
+func fingerprintDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  want %s\n  got  %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("length %d vs %d lines", len(al), len(bl))
 }

@@ -150,12 +150,12 @@ type Config struct {
 	// rendered table — only the live schedule the machine clock models;
 	// see Report.Fingerprint and ScheduleAt.
 	Workers int
-	// Stream enables streaming resurrection: candidates are admitted in
-	// SLO-tier order through a deterministic priority queue (internal/
-	// sched) and the install commit is pipelined per candidate behind a
-	// tier-then-PID-order cursor, so tier-0 processes are scanned and
-	// committed first. Off (the default) preserves the classic
-	// scan-then-install batch pass byte for byte.
+	// Stream selects the streamed pass: candidates run through the pass in
+	// SLO-tier-then-PID admission order (a deterministic priority queue in
+	// internal/sched) instead of list order, and the pass is modeled under
+	// the commit cursor instead of round-robin, so tier-0 processes resume
+	// first. Both passes share one runtime (Engine.runPass); off (the
+	// default) preserves the classic batch pass byte for byte.
 	Stream bool
 	// Tiers maps a program name to its admission tier (0 critical … 2
 	// batch) when streaming; programs not listed get DefaultTier. Lookup
@@ -307,8 +307,8 @@ type Report struct {
 	// PerCandidate.
 	PerScan    []time.Duration
 	PerInstall []time.Duration
-	// Streamed records that this pass ran the streaming (admission-
-	// scheduled, pipelined-commit) path; Tiers is then each candidate's
+	// Streamed records that this pass ran in admission order and is
+	// modeled under the commit cursor; Tiers is then each candidate's
 	// admission tier, aligned with Procs. Both are fingerprinted only for
 	// streamed passes, so classic-path goldens are untouched.
 	Streamed bool
@@ -488,14 +488,12 @@ func (e *Engine) MainSwapDevice() (devName string, err error) {
 // returns the report. The crash kernel must already be booted with working
 // memory available (AddFreeFrames).
 //
-// The pass is pipelined (see scan.go): after a serial prologue, the
-// selected candidates fan out over cfg.Workers scan goroutines, each with
-// its own counting reader, Accounting shard and virtual-time ledger; the
-// shards are then merged with a deterministic reduction (stable candidate
-// order, saturating adds) and the plans installed serially. The machine
-// clock advances by the parallel schedule — prologue plus the round-robin
-// makespan (sched.Plan) — while Report.Duration keeps the serial sum, so
-// every recorded number is identical at any worker count.
+// After a serial prologue (trace salvage, discovery, swap resolution) the
+// selected candidates go through runPass: a scan pool of cfg.Workers
+// goroutines, classification in pass order, then a serial install. The
+// machine clock advances by the modeled parallel schedule (sched.Plan)
+// while Report.Duration keeps the serial sum, so every recorded number is
+// identical at any worker count.
 func (e *Engine) Run(cfg Config) *Report {
 	start := e.K.M.Clock.Now()
 	rep := &Report{Acct: Accounting{ByCategory: e.acct.ByCategory}}
@@ -530,54 +528,84 @@ func (e *Engine) Run(cfg Config) *Report {
 			selected = append(selected, cand)
 		}
 	}
+	order, policy := selected, sched.RoundRobin
 	if cfg.Stream {
-		e.runStream(cfg, rep, selected, mainSwap, start)
-		return rep
+		order, rep.Tiers = admissionOrder(cfg, selected)
+		policy = sched.Cursor
+		rep.Streamed = true
 	}
-	workers := cfg.effectiveWorkers(len(selected))
+	e.runPass(rep, order, policy, cfg.effectiveWorkers(len(order)), mainSwap, start)
+	return rep
+}
+
+// runPass is the one scan/classify/install runtime behind both passes; it
+// fills rep in place (Run has already done discovery and selection):
+//
+//   - Scan: workers claim candidates from an in-order cursor and decode them
+//     concurrently, each into a private Accounting shard and event ledger.
+//   - Classify: as soon as a scan finishes, its plan is classified
+//     (fastpath.go) under the commit cursor, strictly in pass order, so the
+//     dedup cache and speculation claims are a pure function of the order,
+//     and zero or duplicate page buffers are released while later
+//     candidates still scan.
+//   - Install: only once the pool has drained do the plans install,
+//     serially and in pass order, on a detached clock. No crash-kernel
+//     frame is written while any scan runs, so scans read only the dead
+//     image — a wild dead PTE naming a frame the crash kernel later
+//     allocates still reads the dead kernel's bytes, at any width.
+//
+// The machine clock then advances by the policy's modeled makespan over
+// the full installs (lazy or not, the install work all happened), while
+// Report.Duration keeps the serial sum of blocked spans — the per-process
+// interruption the paper's tables measure. The serial morph epilogue is
+// charged by core after Run returns.
+func (e *Engine) runPass(rep *Report, order []Candidate, policy sched.Policy, workers int, mainSwap *disk.BlockDevice, start time.Duration) {
+	n := len(order)
 	rep.Prologue = e.K.M.Clock.Since(start)
 
-	// Phase A — parallel scan. The dead kernel's memory is quiescent and
-	// the scan is strictly read-only, so candidate i goes to worker
-	// i mod workers and each worker decodes its shard concurrently.
-	plans := make([]*plan, len(selected))
-	shards := make([]*Accounting, workers)
-	events := make([][]trace.Event, workers)
+	plans := make([]*plan, n)
+	evs := make([][]trace.Event, n)
+	ctx := e.newClassifyCtx()
+	var (
+		mu     sync.Mutex
+		cond   = sync.NewCond(&mu)
+		next   int // next candidate to scan
+		commit int // next candidate to classify
+	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		shards[w] = &Accounting{ByCategory: make(map[string]int64)}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sc := e.newScanner(shards[w], mainSwap)
-			for i := w; i < len(selected); i += workers {
-				plans[i] = sc.scanOne(selected[i])
+			for {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= n {
+					return
+				}
+				sh := &Accounting{ByCategory: make(map[string]int64)}
+				sc := e.newScanner(sh, mainSwap)
+				pl := sc.scanOne(order[i])
+
+				mu.Lock()
+				for commit != i {
+					cond.Wait()
+				}
+				e.acct.absorb(sh)
+				if ev := e.classifyPlan(pl, ctx); ev != nil {
+					sc.events = append(sc.events, *ev)
+				}
+				plans[i], evs[i] = pl, sc.events
+				commit++
+				cond.Broadcast()
+				mu.Unlock()
 			}
-			events[w] = sc.events
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	// Deterministic reduction: shard accounting folds in with saturating
-	// adds (order is irrelevant — addition over disjoint reads), and the
-	// per-worker event sequences merge by candidate-local logical time.
-	for _, sh := range shards {
-		e.acct.absorb(sh)
-	}
-
-	// Phase A½ — the install-phase memory fast path (fastpath.go): serial
-	// zero/dedup classification in stable candidate order, charging the
-	// deferred page-copy time and emitting one fast-path event per
-	// candidate. Serial on purpose: which copy becomes canonical must be a
-	// pure function of the candidate set, not of scan timing.
-	fpEvents := e.classifyPlans(plans)
-	rep.ScanTrace = trace.Merge(append(append([][]trace.Event{}, events...), fpEvents)...)
-
-	// Phase B — serial install in stable candidate order. Installs run
-	// against a detached clock so their serially-executed virtual time is
-	// re-attributed to each candidate's span in the parallel schedule
-	// instead of accumulating on the machine clock.
-	//
 	// The lazy install registers its speculation table as the kernel's
 	// resolver first: crash procedures run inside installOne and may touch
 	// speculated pages, so resolution must already work mid-install.
@@ -590,45 +618,41 @@ func (e *Engine) Run(cfg Config) *Report {
 	liveClock := e.K.M.Clock
 	scratch := sim.NewClock()
 	e.K.M.Clock = scratch
-	// perCand is each candidate's *blocked* span — scan plus install time
-	// until the process was runnable; PerInstall is the full install
+	// PerCandidate is each candidate's *blocked* span — scan plus install
+	// time until the process was runnable; PerInstall is the full install
 	// including the crash procedure. Eager installs block to the end, so
-	// scan + install and the blocked span are identical there.
-	perCand := make([]time.Duration, len(selected))
-	rep.PerScan = make([]time.Duration, len(plans))
-	rep.PerInstall = make([]time.Duration, len(plans))
+	// the two agree there.
+	rep.PerCandidate = make([]time.Duration, n)
+	rep.PerScan = make([]time.Duration, n)
+	rep.PerInstall = make([]time.Duration, n)
 	for i, pl := range plans {
 		m0 := scratch.Now()
 		pl.resumeClock = -1
 		rep.Procs = append(rep.Procs, e.installOne(pl))
 		rep.PerScan[i] = pl.scanDur
 		rep.PerInstall[i] = scratch.Since(m0)
-		perCand[i] = pl.scanDur + rep.PerInstall[i]
+		rep.PerCandidate[i] = pl.scanDur + rep.PerInstall[i]
 		if pl.resumeClock >= 0 {
 			// Lazy candidate: it resumed at context install; everything
 			// after that (the crash procedure, the policy decision, the
 			// deferred page copies) overlaps normal operation.
-			perCand[i] = pl.scanDur + (pl.resumeClock - m0)
+			rep.PerCandidate[i] = pl.scanDur + (pl.resumeClock - m0)
 		}
+		// Drop the installed plan so its page buffers can be collected
+		// while later installs allocate their frames.
+		plans[i] = nil
 	}
 	e.K.M.Clock = liveClock
 	if e.lazy != nil {
 		e.lazy.installing = false
 	}
 
+	rep.ScanTrace = trace.Merge(evs...)
 	rep.Acct = e.acct
-	rep.PerCandidate = perCand
-	// The interruption clock models the parallel schedule: prologue (already
-	// on the clock) plus the round-robin makespan. The machine advances by
-	// the makespan of the *full* installs — lazy or not, the install work
-	// all happened — while Duration sums only the blocked spans, the
-	// per-process interruption the paper's tables measure. The serial morph
-	// epilogue is charged by core after Run returns.
-	e.K.M.Clock.Advance(sched.Makespan(sched.Plan(sched.RoundRobin, rep.PerScan, rep.PerInstall, workers)))
-	rep.Duration = rep.Prologue + sumSpans(perCand)
+	rep.Duration = rep.Prologue + sumSpans(rep.PerCandidate)
+	e.K.M.Clock.Advance(sched.Makespan(sched.Plan(policy, rep.PerScan, rep.PerInstall, workers)))
 	rep.Parallel = ParallelStats{Workers: workers, Duration: e.K.M.Clock.Since(start)}
 	e.publish(rep)
-	return rep
 }
 
 // satAdd is saturating int64 addition, used when folding accounting shards

@@ -12,8 +12,8 @@ import (
 	"otherworld/internal/trace"
 )
 
-// The install-phase memory fast path, run as a serial classification pass
-// between the parallel scan and the serial install:
+// The install-phase memory fast path, run as a per-candidate
+// classification between the parallel scan and the serial install:
 //
 //   - all-zero pages are elided: instead of copying 4 KB out of the dead
 //     kernel, the install maps a freshly zero-filled frame
@@ -36,13 +36,13 @@ import (
 // above, with the refusal recorded as structured attribution
 // (plan.fallbackReason → ProcReport.SpecFallback).
 //
-// Classification is serial and in stable candidate order, so which page is
-// canonical, which frame is speculated — and therefore every charged
-// duration, counter and trace event — is a pure function of the candidate
-// set, never of the scan pool's width or timing. The scan defers the
-// resident-copy bandwidth charge to this pass (see scanPages); byte
-// *accounting* is unchanged, since the scan still reads every frame to
-// classify it.
+// Classification runs one candidate at a time, in pass order, before any
+// install (Engine.runPass), so which page is canonical, which frame is
+// speculated — and therefore every charged duration, counter and trace
+// event — is a pure function of the pass order, never of the scan pool's
+// width or timing. The scan defers the resident-copy bandwidth charge to
+// this pass (see scanPages); byte *accounting* is unchanged, since the
+// scan still reads every frame to classify it.
 
 // pageHash is FNV-1a over the page contents: fast, deterministic and good
 // enough to make collisions (which are then caught by bytes.Equal and
@@ -77,31 +77,13 @@ func pageLiveBytes(regions []*layout.MemRegion, va uint64) int64 {
 	return int64(end - va)
 }
 
-// classifyPlans mutates each plan's resident pages in place — marking
-// zero-elided, deduplicated or (lazy install) speculated pages — and charges
-// the deferred page-copy time to the plan's PhasePageCopy duration and
-// scanDur. It returns one trace event per classified candidate (Seq is
-// candidate-local logical time, so the merged trace is identical at any
-// scan-pool width): "fastpath" for eager candidates, "speculate" for lazy
-// ones.
-func (e *Engine) classifyPlans(plans []*plan) []trace.Event {
-	ctx := e.newClassifyCtx()
-	var events []trace.Event
-	for _, pl := range plans {
-		if ev := e.classifyPlan(pl, ctx); ev != nil {
-			events = append(events, *ev)
-		}
-	}
-	return events
-}
-
 // classifyCtx is the cross-candidate classification state: the dedup
 // cache's canonical copies and the dead frames already promised to an
 // earlier candidate's speculation (two page tables referencing one frame
 // — COW sharing — cannot both adopt it, so the later candidate falls
-// back). The streaming pass shares one ctx across its pipelined commits,
-// which run in strict admission order, so which copy is canonical stays a
-// pure function of the admission sequence at any worker width.
+// back). One ctx spans a pass, and runPass classifies in strict pass
+// order, so which copy is canonical is a pure function of that order at
+// any worker width.
 type classifyCtx struct {
 	cost     sim.CostModel
 	cache    map[uint64][]byte
@@ -116,9 +98,13 @@ func (e *Engine) newClassifyCtx() *classifyCtx {
 	}
 }
 
-// classifyPlan classifies one plan against the shared context; see
-// classifyPlans for the batch loop and the streaming commit for the
-// per-candidate pipelined call site.
+// classifyPlan classifies one plan against the shared context, marking its
+// resident pages zero-elided, deduplicated or (lazy install) speculated in
+// place and charging the deferred page-copy time to its PhasePageCopy
+// duration and scanDur. It returns the candidate's trace event (Seq is
+// candidate-local logical time, so the merged trace is identical at any
+// scan-pool width): "fastpath" for eager candidates, "speculate" for lazy
+// ones, nil when the candidate has no resident copies.
 func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) *trace.Event {
 	if e.LazyInstall {
 		if reason := e.vetSpeculation(pl, ctx.proposed); reason == "" {

@@ -6,6 +6,7 @@ import (
 	"otherworld/internal/disk"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
+	"otherworld/internal/phys"
 )
 
 // installOne rebuilds a single process from its scanned plan. It runs
@@ -210,7 +211,12 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 		return fail(PhaseShm, fmt.Errorf("restore shm: %w", pl.shmErr))
 	}
 	for _, sp := range pl.shm {
-		if err := e.K.InstallShm(np, sp.seg, sp.contents); err != nil {
+		// Reassemble the segment image; InstallShm charges its copy.
+		contents := make([]byte, sp.seg.Size)
+		for i, pg := range sp.pages {
+			copy(contents[i*phys.PageSize:], pg)
+		}
+		if err := e.K.InstallShm(np, sp.seg, contents); err != nil {
 			return fail(PhaseShm, fmt.Errorf("restore shm: %w", err))
 		}
 	}

@@ -72,7 +72,7 @@ type lazyState struct {
 	// pid → reason. Mid-resume entries are consumed into the ProcReport by
 	// installOne (takeFallback); post-resume entries stay for inspection.
 	fallbacks map[uint32]string
-	// installing is true while Run's serial install phase (including its
+	// installing is true while runPass's serial install (including the
 	// crash procedures) executes; it keeps the fallback counter from double
 	// counting procs the publish pass already attributes.
 	installing bool

@@ -18,13 +18,14 @@ import (
 //
 //   - scan (this file): per-candidate, read-only decoding of the dead
 //     kernel's structures into a plan. Scans never touch the crash kernel's
-//     state, so a pool of workers can run them concurrently — each worker
+//     state, so a pool of workers can run them concurrently — each scan
 //     owns its own counting reader, Accounting shard and virtual-time
 //     ledger.
-//   - install (install.go): serial, in stable candidate order, consuming
-//     the plans. All crash-kernel mutation (PID allocation, frame installs,
-//     FS writes, crash procedures) happens here, so the new kernel's state
-//     is byte-identical no matter how many workers scanned.
+//   - install (install.go): serial, in pass order, consuming the plans
+//     once every scan has finished. All crash-kernel mutation (PID
+//     allocation, frame installs, FS writes, crash procedures) happens
+//     here, so the new kernel's state is byte-identical no matter how many
+//     workers scanned, and no scan ever reads a frame an install wrote.
 
 // phaseScan is the scan-side metric bundle for one timeline phase: bytes
 // read from the dead kernel, pages handled, and ledger time spent.
@@ -70,10 +71,12 @@ type pagePlan struct {
 	dirty      bool
 }
 
-// shmPlan is one decoded shared-memory segment with its page contents.
+// shmPlan is one decoded shared-memory segment with its page contents,
+// one slice per frame and nil for an all-zero page: segments are mostly
+// untouched arena, and every plan stays alive until the installs start.
 type shmPlan struct {
-	seg      *layout.Shm
-	contents []byte
+	seg   *layout.Shm
+	pages [][]byte
 }
 
 // pipePlan is one decoded pipe with its buffer page.
@@ -399,9 +402,9 @@ func (s *scanner) scanRegions(old *layout.Proc) ([]*layout.MemRegion, error) {
 // every touched page: resident pages are copied out of the dead frame (or
 // noted for in-place mapping), swapped pages are read raw off the dead
 // kernel's swap partition. Swap re-stage bandwidth is charged to the
-// worker's ledger here; resident-copy bandwidth is deferred to the serial
-// fast-path classification (fastpath.go), which knows whether each page
-// elides, dedups or pays the full copy.
+// worker's ledger here; resident-copy bandwidth is deferred to the
+// in-order fast-path classification (fastpath.go), which knows whether
+// each page elides, dedups or pays the full copy.
 func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan, error) {
 	if old.PageDir%phys.PageSize != 0 || old.PageDir >= s.memSize {
 		return nil, fmt.Errorf("page directory address %#x implausible", old.PageDir)
@@ -490,15 +493,15 @@ func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 			return out, err
 		}
 		s.parseTime()
-		contents := make([]byte, seg.Size)
+		sp := shmPlan{seg: seg}
 		for i, f := range seg.Frames {
 			if f >= uint64(s.numFrames) {
 				return out, fmt.Errorf("shm frame %d beyond memory", f)
 			}
 			off := i * phys.PageSize
 			n := phys.PageSize
-			if off+n > len(contents) {
-				n = len(contents) - off
+			if off+n > int(seg.Size) {
+				n = int(seg.Size) - off
 			}
 			if n <= 0 {
 				break
@@ -507,10 +510,13 @@ func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, buf); err != nil {
 				return out, err
 			}
-			copy(contents[off:], buf)
+			if phys.PageIsZero(buf) {
+				buf = nil
+			}
+			sp.pages = append(sp.pages, buf)
 		}
-		out = append(out, shmPlan{seg: seg, contents: contents})
-		s.charge(s.cost.CopyCost(int64(len(contents))))
+		out = append(out, sp)
+		s.charge(s.cost.CopyCost(int64(seg.Size)))
 		cur = seg.Next
 	}
 	return out, nil

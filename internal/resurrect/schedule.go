@@ -56,13 +56,12 @@ func sumSpans(spans []time.Duration) time.Duration {
 
 // Slots is the report's modeled schedule at the given worker width, in
 // candidate order, with times relative to the end of the prologue. It is
-// the only place a report is fed to sched.Plan: a streamed pass runs
-// under the commit cursor, a batch pass round-robin (exactly how its
-// goroutines shard the candidates). Each slot is the candidate's scan
-// followed by its blocked install, so a slot ends when its process
-// resumes; a lazy candidate's post-resume work overlaps normal operation
-// and stays off the schedule. A report without the scan/install split
-// schedules PerCandidate as plain jobs.
+// the only place a report is fed to sched.Plan: a streamed pass is
+// modeled under the commit cursor, a batch pass round-robin. Each slot is
+// the candidate's scan followed by its blocked install, so a slot ends
+// when its process resumes; a lazy candidate's post-resume work overlaps
+// normal operation and stays off the schedule. A report without the
+// scan/install split schedules PerCandidate as plain jobs.
 func (r *Report) Slots(workers int) []sched.Slot {
 	if !r.hasSplit() {
 		return sched.Plan(sched.RoundRobin, r.PerCandidate, nil, workers)

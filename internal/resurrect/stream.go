@@ -1,28 +1,28 @@
 package resurrect
 
 // Streaming resurrection: index-assisted candidate discovery, SLO-tier
-// admission and the pipelined install commit.
+// admission, and the report's schedule queries.
 //
-// The classic pass (engine.go Run) is a batch: a serial full-heap walk
-// lists candidates, which are then sharded round-robin over the workers in
-// list order (sched.Plan's RoundRobin policy), so a critical process
-// listed late waits behind everything its worker was handed first, and
-// the discovery prologue grows with the whole population. The streaming
-// pass keeps every observable deterministic while attacking both:
+// Without an index, discovery is a serial walk of the whole process list,
+// so the prologue grows with the population; and the batch pass takes
+// candidates in list order, so a critical process listed late waits
+// behind everything before it. The features below attack each. Both
+// passes run on one runtime (Engine.runPass); Config.Stream picks only
+// the order candidates go through it and the schedule that models it:
 //
 //   - Discovery seeds scanners from the dead kernel's candidate index
 //     (internal/layout): a compact CRC-framed array the main kernel
 //     maintained next to the trace ring, parsed here in whole-frame
 //     batches instead of per-record list hops. A missing or corrupt index
 //     degrades to the full walk with "index-salvage: …" attribution.
-//   - Admission orders candidates by SLO tier (tier-0 critical first)
-//     through the deterministic priority queue in internal/sched.
-//   - The install commit is per-candidate and pipelined behind a
-//     tier-then-PID-order cursor: a worker scans its candidate, waits for
-//     the cursor, then classifies + installs while other workers keep
-//     scanning. Commits execute in strict admission order with shared
-//     classification state, so the report is bit-identical at any width
-//     — only the modeled schedule (sched.Plan's Cursor policy) changes.
+//   - Admission orders candidates by SLO tier (tier-0 critical first),
+//     then PID, through the deterministic priority queue in internal/sched;
+//     the batch pass keeps list order.
+//   - The modeled schedule of a streamed pass is sched.Plan's Cursor
+//     policy: workers scan in admission order and each commit waits for its
+//     predecessor's, so tier-0 resumes first. The batch pass is modeled
+//     round-robin. The report itself is identical at any worker width
+//     either way — only the modeled schedule changes.
 //
 // The price of the cursor is that commits serialize: tier-0 resumes
 // sooner, but the last process can resume later than under the batch
@@ -30,15 +30,11 @@ package resurrect
 
 import (
 	"sort"
-	"sync"
 	"time"
 
-	"otherworld/internal/disk"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
 	"otherworld/internal/sched"
-	"otherworld/internal/sim"
-	"otherworld/internal/trace"
 )
 
 // discoverCandidates lists the dead kernel's resurrection candidates:
@@ -120,127 +116,6 @@ func admissionOrder(cfg Config, selected []Candidate) ([]Candidate, []int) {
 		tiers = append(tiers, it.Tier)
 	}
 	return adm, tiers
-}
-
-// runStream is the streaming pass body: admission ordering, the scan pool
-// with the pipelined per-candidate commit, and the stream schedule model.
-// It fills rep in place (Run already completed discovery and selection).
-func (e *Engine) runStream(cfg Config, rep *Report, selected []Candidate, mainSwap *disk.BlockDevice, start time.Duration) {
-	adm, tiers := admissionOrder(cfg, selected)
-	n := len(adm)
-	workers := cfg.effectiveWorkers(n)
-	rep.Prologue = e.K.M.Clock.Since(start)
-
-	// The lazy install registers its speculation table before any commit:
-	// crash procedures run inside pipelined commits and may touch
-	// speculated pages.
-	if e.LazyInstall {
-		e.lazy = newLazyState(e)
-		e.lazy.installing = true
-		e.lazy.report = rep
-		e.K.Spec = e.lazy
-	}
-	liveClock := e.K.M.Clock
-	scratch := sim.NewClock()
-	e.K.M.Clock = scratch
-
-	// Workers claim admission slots in order through the cursor, scan
-	// concurrently (read-only, per-candidate accounting shard and event
-	// ledger), then commit — classify + install — in strict admission
-	// order under the commit cursor. Scans overlap earlier commits; the
-	// commit itself is the only serialized section, and it is serialized
-	// *in a fixed order*, so every mutation of the new kernel and every
-	// shared classification decision is a pure function of the admission
-	// sequence.
-	plans := make([]*plan, n)
-	accts := make([]*Accounting, n)
-	evs := make([][]trace.Event, n)
-	procs := make([]ProcReport, n)
-	perScan := make([]time.Duration, n)
-	perInstall := make([]time.Duration, n)
-	perCand := make([]time.Duration, n)
-	ctx := e.newClassifyCtx()
-	var (
-		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
-		cursor int
-		commit int
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := cursor
-				if i >= n {
-					mu.Unlock()
-					return
-				}
-				cursor++
-				mu.Unlock()
-
-				sh := &Accounting{ByCategory: make(map[string]int64)}
-				sc := e.newScanner(sh, mainSwap)
-				pl := sc.scanOne(adm[i])
-
-				mu.Lock()
-				for commit != i {
-					cond.Wait()
-				}
-				plans[i] = pl
-				accts[i] = sh
-				ev := e.classifyPlan(pl, ctx)
-				m0 := scratch.Now()
-				pl.resumeClock = -1
-				procs[i] = e.installOne(pl)
-				inst := scratch.Since(m0)
-				perScan[i] = pl.scanDur
-				perInstall[i] = inst
-				perCand[i] = pl.scanDur + inst
-				if pl.resumeClock >= 0 {
-					// Lazy candidate: blocked only until context install.
-					perCand[i] = pl.scanDur + (pl.resumeClock - m0)
-				}
-				events := sc.events
-				if ev != nil {
-					events = append(events, *ev)
-				}
-				evs[i] = events
-				commit++
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	e.K.M.Clock = liveClock
-	if e.lazy != nil {
-		e.lazy.installing = false
-	}
-
-	// Deterministic reduction in admission order: per-candidate shards
-	// fold with saturating adds, per-candidate event ledgers merge by
-	// candidate-local logical time.
-	for _, sh := range accts {
-		e.acct.absorb(sh)
-	}
-	rep.ScanTrace = trace.Merge(evs...)
-	rep.Procs = append(rep.Procs, procs...)
-	rep.Acct = e.acct
-	rep.PerCandidate = perCand
-	rep.PerScan = perScan
-	rep.PerInstall = perInstall
-	rep.Streamed = true
-	rep.Tiers = tiers
-	rep.Duration = rep.Prologue + sumSpans(perCand)
-	// The machine clock advances by the commit-cursor makespan over the
-	// *full* installs — lazy or not, the install work all happened — while
-	// Duration keeps the serial blocked sum, same as the batch pass.
-	e.K.M.Clock.Advance(sched.Makespan(sched.Plan(sched.Cursor, perScan, perInstall, workers)))
-	rep.Parallel = ParallelStats{Workers: workers, Duration: e.K.M.Clock.Since(start)}
-	e.publish(rep)
 }
 
 // blockedSpans is each candidate's install time until its process was

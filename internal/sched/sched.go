@@ -179,8 +179,8 @@ type Policy int
 
 // Placement policies.
 const (
-	// RoundRobin runs job i on worker i mod W: the batch resurrection
-	// pass, whose goroutines shard candidates exactly that way.
+	// RoundRobin runs job i on worker i mod W: the modeled schedule of
+	// the batch resurrection pass.
 	RoundRobin Policy = iota
 	// List runs each job on the earliest-free worker, ties to the lowest
 	// index: the classic list schedule of the campaign worker pool.
